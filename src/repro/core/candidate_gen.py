@@ -30,6 +30,7 @@ from repro.spatial.join import R1
 VALUE = "value"
 WEIGHT = "weight"  # phase-1 sum of weights (|Spatial(v, R)|, or 0.01 default)
 SPATIAL_WEIGHT = "spatial_weight"  # neighbor-only part (0 if own-value-only)
+TOTAL_WEIGHT = "total_weight"  # the cell's summed spatial_weight, before MinProb
 PROB = "prob"
 PROB_NORM = "prob_norm"
 
@@ -49,7 +50,7 @@ class CandidateResult:
     the erroneous set minus the labeled cells.
     """
 
-    candidates: DataFrame  # id_col, value, weight, spatial_weight, prob, prob_norm
+    candidates: DataFrame  # id_col, value, weight, spatial_weight, total_weight, prob, prob_norm
     labels: DataFrame  # id_col, label
     remaining_error_ids: DataFrame  # id_col
 
@@ -139,8 +140,12 @@ def generate_candidates(
     cands = cands.withColumn(PROB, prob)
 
     # ---- Phase 3: normalisation, MinProb cutoff, MaxProb labeling -------
+    # The total is taken before the cutoff: it is the weight of every
+    # non-null neighbor, from which the §5 formulators score candidates.
     cell = Window.partitionBy(id_col)
-    cands = cands.withColumn(PROB_NORM, F.col(PROB) / F.sum(PROB).over(cell))
+    cands = cands.withColumn(PROB_NORM, F.col(PROB) / F.sum(PROB).over(cell)).withColumn(
+        TOTAL_WEIGHT, F.sum(SPATIAL_WEIGHT).over(cell)
+    )
     kept = cands.where(F.col(PROB_NORM) >= F.lit(float(min_prob)))
     order = Window.partitionBy(id_col).orderBy(
         F.col(PROB_NORM).desc(), F.col(VALUE).asc()
@@ -158,7 +163,7 @@ def generate_candidates(
         .select(F.col(id_col), F.col(VALUE).alias("label"))
     )
     remaining = kept.join(labels.select(id_col), on=id_col, how="leftanti").select(
-        id_col, VALUE, WEIGHT, SPATIAL_WEIGHT, PROB, PROB_NORM
+        id_col, VALUE, WEIGHT, SPATIAL_WEIGHT, TOTAL_WEIGHT, PROB, PROB_NORM
     )
     remaining_ids = error_ids.join(labels.select(id_col), on=id_col, how="leftanti")
     return CandidateResult(

@@ -6,52 +6,40 @@ in that format, always from the same two ingredients: the DistanceMatrix
 weights (distance weighting) restricted to each cell's neighborhood
 (spatial neighborhood).
 
+Algorithm 2's phase 1 has already summed those weights per (cell, value)
+as ``spatial_weight`` (sw), and per cell as ``total_weight`` (T, the
+weight of every non-null neighbor), so each format is a column
+expression over the candidates:
+
 - :func:`violation_features` — AimNet (§5.1): per candidate, the *sum of
   weights* of the constraint violations the cell would cause by taking
-  that candidate. Lower is better.
+  that candidate, the weight of the neighbors that disagree: T − sw.
+  Lower is better.
 - :func:`probability_features` — Baran (§5.2): per candidate, the
   normalised spatial-co-occurrence probability of the combined
-  ``(lat, lon) → A`` dependency; candidates with no proximity
-  co-occurrence get 0. Higher is better.
+  ``(lat, lon) → A`` dependency, sw/Σsw over the cell's candidates;
+  candidates with no proximity co-occurrence get 0. Higher is better.
 - :func:`factor_features` — HoloClean/MLNClean (§5.3): per candidate, the
   weighted sum of factor functions ``Σ W · (+1 if neighbor agrees else
-  −1)``. Higher is better.
+  −1)``, that is sw − (T − sw). Higher is better.
 
-Null-valued neighbors are excluded everywhere: a missing value can neither
-satisfy nor violate a dependency instance.
+Null-valued neighbors are excluded everywhere (phase 1 drops them): a
+missing value can neither satisfy nor violate a dependency instance.
+Each function returns the candidates with a ``score`` column added. All
+three take the same arguments so that the pipeline can pick one by host
+name; only the Baran format needs ``id_col``.
 """
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.candidate_gen import SPATIAL_WEIGHT, VALUE
-from repro.core.distance_matrix import V2, W
-from repro.spatial.join import R1
+from repro.core.candidate_gen import SPATIAL_WEIGHT, TOTAL_WEIGHT
 
 SCORE = "score"
 
 
-def _neighbor_rows(dm: DataFrame, cands: DataFrame, id_col: str) -> DataFrame:
-    """Candidate × neighbor-row pairs for each still-erroneous cell."""
-    return cands.select(F.col(id_col), F.col(VALUE)).join(
-        dm.where(F.col(V2).isNotNull()).select(
-            F.col(R1).alias(id_col), F.col(V2), F.col(W)
-        ),
-        on=id_col,
-        how="left",
-    )
-
-
-def violation_features(
-    dm: DataFrame, cands: DataFrame, *, id_col: str = "rid"
-) -> DataFrame:
-    """AimNet format: (cell, candidate, summed violation weight)."""
-    rows = _neighbor_rows(dm, cands, id_col)
-    disagree = F.when(
-        F.col(V2).isNotNull() & ~F.col(V2).eqNullSafe(F.col(VALUE)), F.col(W)
-    ).otherwise(F.lit(0.0))
-    return rows.groupBy(id_col, VALUE).agg(
-        F.coalesce(F.sum(disagree), F.lit(0.0)).alias(SCORE)
-    )
+def violation_features(cands: DataFrame, *, id_col: str = "rid") -> DataFrame:
+    """AimNet format: the summed weight of the disagreeing neighbors."""
+    return cands.withColumn(SCORE, F.col(TOTAL_WEIGHT) - F.col(SPATIAL_WEIGHT))
 
 
 def probability_features(cands: DataFrame, *, id_col: str = "rid") -> DataFrame:
@@ -61,25 +49,12 @@ def probability_features(cands: DataFrame, *, id_col: str = "rid") -> DataFrame:
     only because it is the cell's original value has no proximity
     co-occurrence and scores 0, as in Figure 4(b).
     """
-    cell = Window.partitionBy(id_col)
-    denom = F.sum(SPATIAL_WEIGHT).over(cell)
-    return cands.select(
-        F.col(id_col),
-        F.col(VALUE),
-        F.when(denom > 0, F.col(SPATIAL_WEIGHT) / denom)
-        .otherwise(F.lit(0.0))
-        .alias(SCORE),
+    denom = F.sum(SPATIAL_WEIGHT).over(Window.partitionBy(id_col))
+    return cands.withColumn(
+        SCORE, F.when(denom > 0, F.col(SPATIAL_WEIGHT) / denom).otherwise(F.lit(0.0))
     )
 
 
-def factor_features(
-    dm: DataFrame, cands: DataFrame, *, id_col: str = "rid"
-) -> DataFrame:
-    """HoloClean format: weighted factor-function sums per candidate."""
-    rows = _neighbor_rows(dm, cands, id_col)
-    signed = F.when(F.col(V2).isNull(), F.lit(0.0)).otherwise(
-        F.when(F.col(V2).eqNullSafe(F.col(VALUE)), F.col(W)).otherwise(-F.col(W))
-    )
-    return rows.groupBy(id_col, VALUE).agg(
-        F.coalesce(F.sum(signed), F.lit(0.0)).alias(SCORE)
-    )
+def factor_features(cands: DataFrame, *, id_col: str = "rid") -> DataFrame:
+    """HoloClean format: agreeing minus disagreeing neighbor weight."""
+    return cands.withColumn(SCORE, 2 * F.col(SPATIAL_WEIGHT) - F.col(TOTAL_WEIGHT))

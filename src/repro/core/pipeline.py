@@ -23,11 +23,16 @@ from repro.core import formulator
 from repro.core.constraints import Constraint, ExactLocationConstraint
 from repro.core.distance_matrix import build_distance_matrix
 from repro.core.error_detector import detect_errors
-from repro.hostsys.aimnet import REPAIR, repair_from_violations
-from repro.hostsys.holoclean import repair_from_factors, repair_from_probabilities
+from repro.hostsys.corrector import REPAIR, argbest
 from repro.spatial.join import Extent
 
-CORRECTORS = ("holoclean", "aimnet", "baran")
+#: Host corrector → (its §5 input formatter, whether a lower score is better).
+_HOSTS = {
+    "holoclean": (formulator.factor_features, False),
+    "aimnet": (formulator.violation_features, True),
+    "baran": (formulator.probability_features, False),
+}
+CORRECTORS = tuple(_HOSTS)
 
 
 @dataclass
@@ -80,6 +85,7 @@ def sparcle_clean(
         raise ValueError(f"corrector must be one of {CORRECTORS}, got {corrector!r}")
     t0 = time.perf_counter()
     attribute = constraint.attribute
+    n_records = df.count()
 
     dm = build_distance_matrix(
         df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col, extent=extent
@@ -96,18 +102,14 @@ def sparcle_clean(
         other_attrs=other_attrs,
         min_prob=min_prob,
         max_prob=max_prob,
+        total=n_records,
     )
     cands = cand.candidates.cache()
 
-    if corrector == "aimnet":
-        feats = formulator.violation_features(dm, cands, id_col=id_col)
-        corrected = repair_from_violations(feats, cands, id_col=id_col)
-    elif corrector == "baran":
-        feats = formulator.probability_features(cands, id_col=id_col)
-        corrected = repair_from_probabilities(feats, cands, id_col=id_col)
-    else:
-        feats = formulator.factor_features(dm, cands, id_col=id_col)
-        corrected = repair_from_factors(feats, cands, id_col=id_col)
+    formatter, lower_is_better = _HOSTS[corrector]
+    corrected = argbest(
+        formatter(cands, id_col=id_col), id_col=id_col, lower_is_better=lower_is_better
+    )
 
     fixes = (
         cand.labels.select(F.col(id_col), F.col("label").alias(REPAIR))
@@ -116,7 +118,7 @@ def sparcle_clean(
     repaired_df, changed = _apply_fixes(df, fixes, attribute, id_col)
     changed = changed.cache()
     diagnostics = {
-        "n_records": df.count(),
+        "n_records": n_records,
         "n_pairs": n_pairs,
         "n_detected_errors": detected.error_ids.count(),
         "n_labeled": cand.labels.count(),

@@ -258,7 +258,8 @@ def table2(spark: SparkSession) -> pd.DataFrame:
         min_prob=0.0, max_prob=1.1,
     )
     out = (
-        res.candidates.toPandas()
+        res.candidates.select("rid", "value", "weight", "spatial_weight", "prob", "prob_norm")
+        .toPandas()
         .sort_values(["rid", "value"])
         .reset_index(drop=True)
         .rename(columns={"weight": "sum_weights"})

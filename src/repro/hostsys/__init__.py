@@ -5,14 +5,7 @@ final error-correction step that consumes the formulated input (§5), and —
 run without Sparcle — the host *is* the experimental baseline (§6). This
 package provides both, plus the in-memory Baran competitor.
 """
-from repro.hostsys.aimnet import repair_from_violations
 from repro.hostsys.baran import BaranResult, baran_clean
-from repro.hostsys.holoclean import repair_from_factors, repair_from_probabilities
+from repro.hostsys.corrector import argbest
 
-__all__ = [
-    "BaranResult",
-    "baran_clean",
-    "repair_from_factors",
-    "repair_from_probabilities",
-    "repair_from_violations",
-]
+__all__ = ["BaranResult", "argbest", "baran_clean"]

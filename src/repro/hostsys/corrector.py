@@ -1,11 +1,15 @@
-"""AimNet-style error corrector (substrate).
+"""Arg-best host error corrector (substrate) for all three §5 formats.
 
 AimNet [49] is the attention-based learner shipping as HoloClean's
 open-source error-correction method; it consumes one violation-score
 feature vector per cell per constraint. With every non-spatial signal
 muted (as the paper does for its comparison), the learned decision reduces
 to preferring the candidate with the *least* weighted constraint
-violation. Ties break toward the higher candidate probability from
+violation. HoloClean's own error correction is MAP inference over a Markov
+Logic Network factor graph [41, 43]; with cells treated independently,
+MAP inference is the arg-max of the per-candidate factor sums of Figure
+4(c). The Baran-format probability vectors take the same arg-max. In
+every case ties break toward the higher candidate probability from
 Algorithm 2, then the smaller value for determinism (substitution
 documented in DESIGN.md).
 """
@@ -18,11 +22,9 @@ from repro.core.formulator import SCORE
 REPAIR = "repair"
 
 
-def _argbest(features: DataFrame, cands: DataFrame, id_col: str, ascending: bool) -> DataFrame:
-    scored = features.join(
-        cands.select(id_col, VALUE, PROB_NORM), on=[id_col, VALUE], how="left"
-    ).withColumn(PROB_NORM, F.coalesce(F.col(PROB_NORM), F.lit(0.0)))
-    score_order = F.col(SCORE).asc() if ascending else F.col(SCORE).desc()
+def argbest(scored: DataFrame, *, id_col: str = "rid", lower_is_better: bool) -> DataFrame:
+    """Pick, per cell, the best-scored candidate of a formulator's output."""
+    score_order = F.col(SCORE).asc() if lower_is_better else F.col(SCORE).desc()
     w = Window.partitionBy(id_col).orderBy(
         score_order, F.col(PROB_NORM).desc(), F.col(VALUE).asc()
     )
@@ -31,10 +33,3 @@ def _argbest(features: DataFrame, cands: DataFrame, id_col: str, ascending: bool
         .where(F.col("_rank") == 1)
         .select(F.col(id_col), F.col(VALUE).alias(REPAIR))
     )
-
-
-def repair_from_violations(
-    features: DataFrame, cands: DataFrame, *, id_col: str = "rid"
-) -> DataFrame:
-    """Pick, per cell, the candidate minimising the violation score."""
-    return _argbest(features, cands, id_col, ascending=True)

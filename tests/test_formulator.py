@@ -28,20 +28,20 @@ class TestViolationFeatures:
     """Figure 4(a), Sparcle column: 0.12 / 0.89 / 1.01 for r1."""
 
     def test_r1_vector(self, toy):
-        dm, cands = toy
-        s = scores(formulator.violation_features(dm, cands), 1)
+        _, cands = toy
+        s = scores(formulator.violation_features(cands), 1)
         assert s[MAN] == pytest.approx(0.12)
         assert s[QUE] == pytest.approx(0.89)
         assert s[SIS] == pytest.approx(1.01)
 
     def test_lowest_violation_is_favored_value(self, toy):
-        dm, cands = toy
-        s = scores(formulator.violation_features(dm, cands), 1)
+        _, cands = toy
+        s = scores(formulator.violation_features(cands), 1)
         assert s.idxmin() == MAN  # §5.1: spatial awareness favors Manhattan
 
     def test_all_candidates_scored(self, toy):
-        dm, cands = toy
-        out = formulator.violation_features(dm, cands).toPandas()
+        _, cands = toy
+        out = formulator.violation_features(cands).toPandas()
         assert len(out) == cands.count()
 
 
@@ -80,8 +80,8 @@ class TestFactorFeatures:
     the total 0.77 is consistent — DESIGN.md §3)."""
 
     def test_r1_vector(self, toy):
-        dm, cands = toy
-        s = scores(formulator.factor_features(dm, cands), 1)
+        _, cands = toy
+        s = scores(formulator.factor_features(cands), 1)
         assert s[MAN] == pytest.approx(0.77)
         assert s[QUE] == pytest.approx(-0.77)
         assert s[SIS] == pytest.approx(-1.01)
@@ -89,16 +89,16 @@ class TestFactorFeatures:
     def test_spatial_awareness_flips_favored_value(self, toy):
         # Unweighted factors favor Queens (3 agreeing neighbors of 5);
         # weighting favors Manhattan (§5.3's point).
-        dm, cands = toy
-        s = scores(formulator.factor_features(dm, cands), 1)
+        _, cands = toy
+        s = scores(formulator.factor_features(cands), 1)
         assert s.idxmax() == MAN
 
     def test_identity_with_violation_scores(self, toy):
         """factor = support − violation and support + violation = Σw of the
         cell's non-null rows, hence factor = total − 2·violation."""
         dm, cands = toy
-        f = formulator.factor_features(dm, cands).toPandas().set_index(["rid", "value"])
-        v = formulator.violation_features(dm, cands).toPandas().set_index(["rid", "value"])
+        f = formulator.factor_features(cands).toPandas().set_index(["rid", "value"])
+        v = formulator.violation_features(cands).toPandas().set_index(["rid", "value"])
         dm_pdf = dm.toPandas()
         totals = dm_pdf[dm_pdf["v2"].notna()].groupby("r1")["w"].sum()
         for (rid, value), row in f.iterrows():
@@ -107,36 +107,45 @@ class TestFactorFeatures:
             )
 
     def test_null_neighbors_ignored(self, spark):
+        df = spark.createDataFrame(
+            pd.DataFrame({"rid": [1, 2, 3], "borough": ["B", None, "A"]})
+        )
         dm = spark.createDataFrame(
             pd.DataFrame(
-                [(1, 2, "A", None, 10.0, 0.9), (1, 3, "A", "A", 10.0, 0.5)],
+                [(1, 2, "B", None, 10.0, 0.9), (1, 3, "B", "A", 10.0, 0.5)],
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        cands = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "rid": [1], "value": ["A"], "weight": [0.5],
-                    "spatial_weight": [0.5], "prob": [1e-6], "prob_norm": [1.0],
-                }
-            )
-        )
-        s = scores(formulator.factor_features(dm, cands), 1)
+        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
+        cands = generate_candidates(
+            df, dm, err, attribute="borough", min_prob=0.0, max_prob=1.1
+        ).candidates
+        s = scores(formulator.factor_features(cands), 1)
         assert s["A"] == pytest.approx(0.5)  # the null row contributes nothing
-        v = scores(formulator.violation_features(dm, cands), 1)
+        assert s["B"] == pytest.approx(-0.5)
+        v = scores(formulator.violation_features(cands), 1)
         assert v["A"] == pytest.approx(0.0)
+        assert v["B"] == pytest.approx(0.5)
 
     def test_cell_with_no_neighbor_rows_scores_zero(self, spark):
+        """No neighbor row with weight. A cell with no neighbor row at all
+        keeps only its own value, which phase 3 labels, so it never
+        reaches a formulator; the reachable case is a neighbor at W = 0
+        (the k-th neighbor under a kNN weight without the 0.01 floor)."""
+        df = spark.createDataFrame(pd.DataFrame({"rid": [1, 2], "borough": ["A", "B"]}))
         dm = spark.createDataFrame(
-            [], schema="r1 long, r2 long, v1 string, v2 string, dist_m double, w double"
-        )
-        cands = spark.createDataFrame(
             pd.DataFrame(
-                {
-                    "rid": [1], "value": ["A"], "weight": [0.01],
-                    "spatial_weight": [0.0], "prob": [1e-6], "prob_norm": [1.0],
-                }
+                [(1, 2, "A", "B", 10.0, 0.0)],
+                columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        assert scores(formulator.factor_features(dm, cands), 1)["A"] == 0.0
-        assert scores(formulator.violation_features(dm, cands), 1)["A"] == 0.0
+        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
+        cands = generate_candidates(
+            df, dm, err, attribute="borough", min_prob=0.0, max_prob=1.1
+        ).candidates
+        for features in (
+            formulator.factor_features,
+            formulator.violation_features,
+            formulator.probability_features,
+        ):
+            assert scores(features(cands), 1).to_dict() == {"A": 0.0, "B": 0.0}

@@ -7,67 +7,45 @@ from repro.core import formulator
 from repro.core.candidate_gen import generate_candidates
 from repro.core.error_detector import detect_errors
 from repro.evalx.toy import MAN, TOY_TOTAL, toy_df, toy_dm, toy_freq
-from repro.hostsys.aimnet import repair_from_violations
 from repro.hostsys.baran import baran_clean
-from repro.hostsys.holoclean import repair_from_factors, repair_from_probabilities
+from repro.hostsys.corrector import argbest
 
 
 def _mk(spark, rows, cols, schema=None):
     return spark.createDataFrame(pd.DataFrame(rows, columns=cols), schema=schema)
 
 
-CAND_COLS = ["rid", "value", "weight", "spatial_weight", "prob", "prob_norm"]
-FEAT_COLS = ["rid", "value", "score"]
+SCORED_COLS = ["rid", "value", "score", "prob_norm"]
 
 
 class TestArgBest:
     def test_argmin_violations(self, spark):
-        feats = _mk(spark, [(1, "A", 0.5), (1, "B", 0.2)], FEAT_COLS)
-        cands = _mk(
-            spark, [(1, "A", 1.0, 1.0, 1e-6, 0.6), (1, "B", 1.0, 1.0, 1e-6, 0.4)], CAND_COLS
-        )
-        out = repair_from_violations(feats, cands).collect()
+        scored = _mk(spark, [(1, "A", 0.5, 0.6), (1, "B", 0.2, 0.4)], SCORED_COLS)
+        out = argbest(scored, lower_is_better=True).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "B")]
 
     def test_argmax_factors(self, spark):
-        feats = _mk(spark, [(1, "A", -0.5), (1, "B", 0.2)], FEAT_COLS)
-        cands = _mk(
-            spark, [(1, "A", 1.0, 1.0, 1e-6, 0.6), (1, "B", 1.0, 1.0, 1e-6, 0.4)], CAND_COLS
-        )
-        out = repair_from_factors(feats, cands).collect()
+        scored = _mk(spark, [(1, "A", -0.5, 0.6), (1, "B", 0.2, 0.4)], SCORED_COLS)
+        out = argbest(scored, lower_is_better=False).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "B")]
 
     def test_tie_breaks_by_probability(self, spark):
-        feats = _mk(spark, [(1, "A", 0.3), (1, "B", 0.3)], FEAT_COLS)
-        cands = _mk(
-            spark, [(1, "A", 1.0, 1.0, 1e-6, 0.2), (1, "B", 1.0, 1.0, 1e-6, 0.8)], CAND_COLS
-        )
-        out = repair_from_violations(feats, cands).collect()
+        scored = _mk(spark, [(1, "A", 0.3, 0.2), (1, "B", 0.3, 0.8)], SCORED_COLS)
+        out = argbest(scored, lower_is_better=True).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "B")]
 
     def test_full_tie_breaks_by_value(self, spark):
-        feats = _mk(spark, [(1, "B", 0.3), (1, "A", 0.3)], FEAT_COLS)
-        cands = _mk(
-            spark, [(1, "A", 1.0, 1.0, 1e-6, 0.5), (1, "B", 1.0, 1.0, 1e-6, 0.5)], CAND_COLS
-        )
-        out = repair_from_probabilities(feats, cands).collect()
+        scored = _mk(spark, [(1, "B", 0.3, 0.5), (1, "A", 0.3, 0.5)], SCORED_COLS)
+        out = argbest(scored, lower_is_better=False).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "A")]
 
     def test_one_repair_per_cell(self, spark):
-        feats = _mk(
+        scored = _mk(
             spark,
-            [(1, "A", 0.1), (1, "B", 0.9), (2, "A", 0.9), (2, "B", 0.1)],
-            FEAT_COLS,
+            [(1, "A", 0.1, 0.5), (1, "B", 0.9, 0.5), (2, "A", 0.9, 0.5), (2, "B", 0.1, 0.5)],
+            SCORED_COLS,
         )
-        cands = _mk(
-            spark,
-            [
-                (1, "A", 1.0, 1.0, 1e-6, 0.5), (1, "B", 1.0, 1.0, 1e-6, 0.5),
-                (2, "A", 1.0, 1.0, 1e-6, 0.5), (2, "B", 1.0, 1.0, 1e-6, 0.5),
-            ],
-            CAND_COLS,
-        )
-        out = repair_from_violations(feats, cands).toPandas()
+        out = argbest(scored, lower_is_better=True).toPandas()
         assert dict(zip(out["rid"], out["repair"])) == {1: "A", 2: "B"}
 
 
@@ -78,8 +56,8 @@ class TestToyRepair:
         res = generate_candidates(
             df, dm, det.error_ids, attribute="borough", freq=freq, total=TOY_TOTAL
         )
-        feats = formulator.violation_features(dm, res.candidates)
-        out = repair_from_violations(feats, res.candidates).toPandas()
+        feats = formulator.violation_features(res.candidates)
+        out = argbest(feats, lower_is_better=True).toPandas()
         assert dict(zip(out["rid"], out["repair"]))[1] == MAN
 
     def test_factor_graph_repairs_r1_to_manhattan(self, spark):
@@ -88,8 +66,8 @@ class TestToyRepair:
         res = generate_candidates(
             df, dm, det.error_ids, attribute="borough", freq=freq, total=TOY_TOTAL
         )
-        feats = formulator.factor_features(dm, res.candidates)
-        out = repair_from_factors(feats, res.candidates).toPandas()
+        feats = formulator.factor_features(res.candidates)
+        out = argbest(feats, lower_is_better=False).toPandas()
         assert dict(zip(out["rid"], out["repair"]))[1] == MAN
 
 
