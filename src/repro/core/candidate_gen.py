@@ -14,9 +14,12 @@ Three phases per erroneous cell:
    below ``MinProb``, and label a cell clean when a single candidate
    remains or the top one exceeds ``MaxProb``.
 
-Everything is DataFrame algebra: group-bys over the DistanceMatrix, joins
-against the value-frequency table, and window normalisation — no per-row
-Python.
+Everything is DataFrame algebra and runs as one pass per call: phase 1 is
+a single group-by of the cells' neighbor values together with their own
+values, phase 2 a join against the value-frequency table, and phase 3
+two windows that end in one ``kept`` frame. The labels and the candidates
+left for the host corrector are both filters of that frame — no per-row
+Python, no anti-join.
 """
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,17 +45,28 @@ MINIMALITY_PSEUDO_COUNT = 0.1
 
 @dataclass(frozen=True)
 class CandidateResult:
-    """Output of Algorithm 2.
+    """Output of Algorithm 2: one frame, ``kept``, and two views of it.
 
-    ``candidates`` holds the surviving candidate values for cells that are
-    *still* erroneous; ``labels`` holds cells confidently resolved in
-    phase 3 (their label is a final repair); ``remaining_error_ids`` is
-    the erroneous set minus the labeled cells.
+    ``kept`` holds every candidate that survives the MinProb cutoff (id,
+    value, weight, spatial_weight, total_weight, prob, prob_norm) with its
+    ``_rank`` in the cell, by prob_norm then value, and the cell's
+    ``_labeled`` flag: one candidate left, or the top one above MaxProb.
+    Callers that read both views cache ``kept`` once, so phases 1–3 run once.
     """
 
-    candidates: DataFrame  # id_col, value, weight, spatial_weight, total_weight, prob, prob_norm
-    labels: DataFrame  # id_col, label
-    remaining_error_ids: DataFrame  # id_col
+    kept: DataFrame
+    id_col: str = "rid"
+
+    @property
+    def candidates(self) -> DataFrame:
+        """Surviving candidates of the cells that are *still* erroneous."""
+        return self.kept.where(~F.col("_labeled")).drop("_rank", "_labeled")
+
+    @property
+    def labels(self) -> DataFrame:
+        """Cells confidently resolved in phase 3; each label is a final repair."""
+        top = self.kept.where(F.col("_labeled") & (F.col("_rank") == 1))
+        return top.select(self.id_col, F.col(VALUE).alias("label"))
 
 
 def value_frequency(df: DataFrame, attribute: str) -> DataFrame:
@@ -87,28 +101,31 @@ def generate_candidates(
     total = total if total is not None else df.count()
 
     # ---- Phase 1: weighted nearby co-occurrence --------------------------
-    err_dm = dm.join(error_ids.select(F.col(id_col).alias(R1)), on=R1)
-    neigh = (
-        err_dm.where(F.col(V2).isNotNull())
-        .groupBy(F.col(R1).alias(id_col), F.col(V2).alias(VALUE))
-        .agg(F.sum(W).alias(WEIGHT))
-        .withColumn(SPATIAL_WEIGHT, F.col(WEIGHT))
+    # One group-by over the neighbor values and the weightless own values:
+    # a value no neighbor shares sums to null, so it takes the default.
+    neighbors = (
+        dm.join(error_ids.select(F.col(id_col).alias(R1)), on=R1)
+        .where(F.col(V2).isNotNull())
+        .select(F.col(R1).alias(id_col), F.col(V2).alias(VALUE), F.col(W).alias("_w"))
     )
     own = (
         df.join(error_ids, on=id_col, how="leftsemi")
         .where(F.col(attribute).isNotNull())
-        .select(F.col(id_col), F.col(attribute).alias(VALUE))
-        .join(neigh.select(id_col, VALUE), on=[id_col, VALUE], how="leftanti")
-        .withColumn(WEIGHT, F.lit(DEFAULT_OWN_WEIGHT))
-        .withColumn(SPATIAL_WEIGHT, F.lit(0.0))
+        .select(F.col(id_col), F.col(attribute).alias(VALUE), F.lit(True).alias("_own"))
     )
-    cands = neigh.unionByName(own)
+    cands = (
+        neighbors.unionByName(own, allowMissingColumns=True)
+        .groupBy(id_col, VALUE)
+        .agg(
+            F.coalesce(F.sum("_w"), F.lit(DEFAULT_OWN_WEIGHT)).alias(WEIGHT),
+            F.coalesce(F.sum("_w"), F.lit(0.0)).alias(SPATIAL_WEIGHT),
+            F.max("_own").alias("_own"),  # true, or null without an own row
+        )
+    )
 
     # ---- Phase 2: spatially-aware Naive Bayes ---------------------------
-    orig = df.select(F.col(id_col), F.col(attribute).alias("_orig"))
     cands = (
-        cands.join(orig, on=id_col)
-        .join(freq.withColumnRenamed("cnt", "_cnt_v"), on=VALUE, how="left")
+        cands.join(freq.withColumnRenamed("cnt", "_cnt_v"), on=VALUE, how="left")
         # A candidate value always occurs in D (it is a neighbor's or the
         # cell's own value) but guard the join anyway.
         .withColumn("_cnt_v", F.coalesce(F.col("_cnt_v"), F.lit(1)))
@@ -116,9 +133,7 @@ def generate_candidates(
     # Record-identifier factor: 1 for the original value, 0.1 otherwise
     # (both divided by Count(v, D)) — the minimality bias of §4.2.
     prob = (F.col(WEIGHT) / F.lit(float(total))) * (
-        F.when(F.col(VALUE).eqNullSafe(F.col("_orig")), F.lit(1.0)).otherwise(
-            F.lit(MINIMALITY_PSEUDO_COUNT)
-        )
+        F.when(F.col("_own"), F.lit(1.0)).otherwise(F.lit(MINIMALITY_PSEUDO_COUNT))
         / F.col("_cnt_v")
     )
     # Generic non-spatial attributes A': Count((v, R.A'), D) / Count(v, D).
@@ -142,30 +157,20 @@ def generate_candidates(
     # ---- Phase 3: normalisation, MinProb cutoff, MaxProb labeling -------
     # The total is taken before the cutoff: it is the weight of every
     # non-null neighbor, from which the §5 formulators score candidates.
+    # A cell whose candidates all weigh 0 has no distribution: its
+    # prob_norm is null, and the cutoff drops every candidate.
     cell = Window.partitionBy(id_col)
-    cands = cands.withColumn(PROB_NORM, F.col(PROB) / F.sum(PROB).over(cell)).withColumn(
-        TOTAL_WEIGHT, F.sum(SPATIAL_WEIGHT).over(cell)
-    )
-    kept = cands.where(F.col(PROB_NORM) >= F.lit(float(min_prob)))
-    order = Window.partitionBy(id_col).orderBy(
-        F.col(PROB_NORM).desc(), F.col(VALUE).asc()
-    )
+    order = Window.partitionBy(id_col).orderBy(F.col(PROB_NORM).desc(), F.col(VALUE).asc())
+    single = F.count(F.lit(1)).over(cell) == 1
+    confident = F.max(PROB_NORM).over(cell) > F.lit(float(max_prob))
     kept = (
-        kept.withColumn("_rank", F.row_number().over(order))
-        .withColumn("_n_cands", F.count(F.lit(1)).over(cell))
-        .withColumn("_top_prob", F.max(PROB_NORM).over(cell))
-    )
-    labels = (
-        kept.where(
-            (F.col("_rank") == 1)
-            & ((F.col("_n_cands") == 1) | (F.col("_top_prob") > F.lit(float(max_prob))))
+        cands.withColumn(PROB_NORM, F.try_divide(F.col(PROB), F.sum(PROB).over(cell)))
+        .withColumn(TOTAL_WEIGHT, F.sum(SPATIAL_WEIGHT).over(cell))
+        .where(F.col(PROB_NORM) >= F.lit(float(min_prob)))
+        .withColumn("_rank", F.row_number().over(order))
+        .withColumn("_labeled", single | confident)
+        .select(
+            id_col, VALUE, WEIGHT, SPATIAL_WEIGHT, TOTAL_WEIGHT, PROB, PROB_NORM, "_rank", "_labeled"
         )
-        .select(F.col(id_col), F.col(VALUE).alias("label"))
     )
-    remaining = kept.join(labels.select(id_col), on=id_col, how="leftanti").select(
-        id_col, VALUE, WEIGHT, SPATIAL_WEIGHT, TOTAL_WEIGHT, PROB, PROB_NORM
-    )
-    remaining_ids = error_ids.join(labels.select(id_col), on=id_col, how="leftanti")
-    return CandidateResult(
-        candidates=remaining, labels=labels, remaining_error_ids=remaining_ids
-    )
+    return CandidateResult(kept=kept, id_col=id_col)

@@ -24,7 +24,7 @@ from repro.core.constraints import Constraint, ExactLocationConstraint
 from repro.core.distance_matrix import build_distance_matrix
 from repro.core.error_detector import detect_errors
 from repro.hostsys.corrector import REPAIR, argbest
-from repro.spatial.join import Extent
+from repro.spatial.join import Extent, extent_aggs, extent_from_row
 
 #: Host corrector → (its §5 input formatter, whether a lower score is better).
 _HOSTS = {
@@ -67,6 +67,38 @@ def _apply_fixes(
     return repaired, changed
 
 
+def _checked_extent(df: DataFrame, *, id_col: str, lat_col: str, lon_col: str) -> Extent:
+    """Check the input contract and return the input's extent, in one pass.
+
+    Ids must be unique and non-null, and coordinates finite and in range:
+    a record the spatial join cannot place would silently drop out of the
+    DistanceMatrix and never be checked.
+    """
+    lat, lon = F.col(lat_col), F.col(lon_col)
+    bad = (
+        lat.isNull() | lon.isNull() | F.isnan(lat) | F.isnan(lon)
+        | (F.abs(lat) > 90) | (F.abs(lon) > 180)
+    )
+    row = df.agg(
+        *extent_aggs(lat_col, lon_col),
+        F.count(F.when(F.col(id_col).isNull(), 1)).alias("null_ids"),
+        F.count_distinct(id_col).alias("distinct_ids"),
+        F.count(F.when(bad, 1)).alias("bad_coords"),
+    ).first()
+    if row["null_ids"]:
+        raise ValueError(f"null id: {row['null_ids']} record(s) have a null {id_col!r}")
+    if row["distinct_ids"] != row["n"]:
+        raise ValueError(
+            f"duplicate id: {row['n'] - row['distinct_ids']} record(s) repeat an {id_col!r}"
+        )
+    if row["bad_coords"]:
+        raise ValueError(
+            f"bad coordinates: {row['bad_coords']} record(s) have a null, NaN or "
+            f"out-of-range {lat_col!r}/{lon_col!r}"
+        )
+    return extent_from_row(row)
+
+
 def sparcle_clean(
     df: DataFrame,
     constraint: Constraint,
@@ -80,15 +112,21 @@ def sparcle_clean(
     max_prob: float = 0.95,
     extent: Extent | None = None,
 ) -> CleanResult:
-    """Clean ``constraint.attribute`` of ``df``; see module docstring."""
+    """Clean ``constraint.attribute`` of ``df``; see module docstring.
+
+    Raises ``ValueError`` naming the failed check when ``df`` breaks the
+    input contract (see :func:`_checked_extent`).
+    """
     if corrector not in CORRECTORS:
         raise ValueError(f"corrector must be one of {CORRECTORS}, got {corrector!r}")
     t0 = time.perf_counter()
     attribute = constraint.attribute
-    n_records = df.count()
+    checked = _checked_extent(df, id_col=id_col, lat_col=lat_col, lon_col=lon_col)
+    n_records = checked.n
 
     dm = build_distance_matrix(
-        df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col, extent=extent
+        df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col,
+        extent=extent or checked,
     ).cache()
     n_pairs = dm.count()  # materialise: every later stage scans this table
 
@@ -104,11 +142,11 @@ def sparcle_clean(
         max_prob=max_prob,
         total=n_records,
     )
-    cands = cand.candidates.cache()
+    kept = cand.kept.cache()  # the labels, the corrector and n_labeled all read it
 
     formatter, lower_is_better = _HOSTS[corrector]
     corrected = argbest(
-        formatter(cands, id_col=id_col), id_col=id_col, lower_is_better=lower_is_better
+        formatter(cand.candidates, id_col=id_col), id_col=id_col, lower_is_better=lower_is_better
     )
 
     fixes = (
@@ -126,7 +164,7 @@ def sparcle_clean(
         "elapsed_s": time.perf_counter() - t0,
     }
     dm.unpersist(blocking=False)
-    cands.unpersist(blocking=False)
+    kept.unpersist(blocking=False)
     return CleanResult(repaired_df=repaired_df, repairs=changed, diagnostics=diagnostics)
 
 

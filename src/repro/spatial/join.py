@@ -10,7 +10,7 @@ self-join used by the non-spatial baseline. All return a pair DataFrame
 import math
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Row, Window
 from pyspark.sql import functions as F
 
 from repro.spatial import grid
@@ -56,18 +56,27 @@ class Extent:
         return max(self.width_m, 1.0) * max(self.height_m, 1.0)
 
 
-def compute_extent(df: DataFrame, lat_col: str, lon_col: str) -> Extent:
-    """One aggregation pass for the dataset's bounding box and count."""
-    row = df.agg(
+def extent_aggs(lat_col: str, lon_col: str) -> list[Column]:
+    """The aggregates :func:`extent_from_row` reads, for one ``df.agg`` pass."""
+    return [
         F.count(F.lit(1)).alias("n"),
         F.min(lat_col).alias("lat_min"),
         F.max(lat_col).alias("lat_max"),
         F.min(lon_col).alias("lon_min"),
         F.max(lon_col).alias("lon_max"),
-    ).first()
+    ]
+
+
+def extent_from_row(row: Row) -> Extent:
+    """The :class:`Extent` of an aggregated row; empty input gets a zero box."""
     if row["n"] == 0:
         return Extent(0, 0.0, 0.0, 0.0, 0.0)
     return Extent(row["n"], row["lat_min"], row["lat_max"], row["lon_min"], row["lon_max"])
+
+
+def compute_extent(df: DataFrame, lat_col: str, lon_col: str) -> Extent:
+    """One aggregation pass for the dataset's bounding box and count."""
+    return extent_from_row(df.agg(*extent_aggs(lat_col, lon_col)).first())
 
 
 def _pair_join(

@@ -118,7 +118,21 @@ class TestPhase3Cutoffs:
         assert labels == {5: QUE}
 
     def test_remaining_error_ids(self, default_state):
-        assert sorted(r.rid for r in default_state.remaining_error_ids.collect()) == [1, 2, 3, 4, 6]
+        labeled = {r.rid for r in default_state.labels.collect()}
+        unresolved = {r.rid for r in default_state.candidates.collect()}
+        assert labeled == {5}
+        assert unresolved == {1, 2, 3, 4, 6}
+        assert not labeled & unresolved
+
+    def test_labels_and_candidates_reuse_the_cached_kept_frame(self, default_state):
+        """Both views read a cached ``kept``: Algorithm 2 runs once per call."""
+        kept = default_state.kept.cache()
+        try:
+            for view in (default_state.candidates, default_state.labels):
+                plan = view._jdf.queryExecution().optimizedPlan().toString()
+                assert "InMemoryRelation" in plan
+        finally:
+            kept.unpersist()
 
     def test_surviving_candidate_counts(self, default_state):
         counts = (
@@ -189,7 +203,23 @@ class TestNullAndDefaults:
         res = generate_candidates(df, dm, err, attribute="borough")
         assert res.candidates.count() == 0
         assert res.labels.count() == 0
-        assert [r.rid for r in res.remaining_error_ids.collect()] == [1]
+
+    def test_zero_weight_cell_is_dropped(self, spark):
+        # r1's only neighbor shares its value at W = 0 (the k-th neighbor
+        # of an unfloored kNN weight): every candidate has probability 0,
+        # so there is no distribution to normalise and MinProb drops all.
+        df = spark.createDataFrame(
+            pd.DataFrame({"rid": [1, 2, 3], "borough": ["A", "A", "B"]})
+        )
+        dm = spark.createDataFrame(
+            pd.DataFrame(
+                [(1, 2, "A", "A", 10.0, 0.0), (3, 1, "B", "A", 5.0, 0.5)],
+                columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
+            )
+        )
+        err = spark.createDataFrame(pd.DataFrame({"rid": [1, 3]}))
+        res = generate_candidates(df, dm, err, attribute="borough", min_prob=0.0)
+        assert {r.rid for r in res.kept.collect()} == {3}
 
 
 class TestValueFrequency:

@@ -156,3 +156,61 @@ class TestVariants:
         b = baseline_out.repairs.select("rid", "new_value").toPandas()
         key = lambda p: sorted(map(tuple, p.fillna("∅").values))
         assert key(a) == key(b)
+
+
+SCHEMA = "rid long, lat double, lon double, ward string"
+#: Five records a few hundred meters apart; r5 holds the minority value.
+FIVE = [
+    (1, 41.800, -87.700, "A"),
+    (2, 41.801, -87.700, "A"),
+    (3, 41.800, -87.701, "A"),
+    (4, 41.801, -87.701, "A"),
+    (5, 41.8005, -87.7005, "B"),
+]
+RANGE = SpatialRangeConstraint("ward", 500.0)
+KNN = SpatialKNNConstraint("ward", k=3)
+
+
+class TestInputContract:
+    """``sparcle_clean`` rejects input the spatial join cannot place."""
+
+    @pytest.mark.parametrize(
+        "r5,check",
+        [
+            ((None, 41.8005, -87.7005, "B"), "null id"),
+            ((1, 41.8005, -87.7005, "B"), "duplicate id"),
+            ((5, None, -87.7005, "B"), "bad coordinates"),
+            ((5, 41.8005, float("nan"), "B"), "bad coordinates"),
+        ],
+        ids=["null-id", "duplicate-id", "null-lat", "nan-lon"],
+    )
+    def test_sparcle_clean_names_the_failed_check(self, spark, r5, check):
+        rows = FIVE[:4] + [r5]
+        with pytest.raises(ValueError, match=check):
+            sparcle_clean(spark.createDataFrame(rows, SCHEMA), RANGE, corrector="aimnet")
+
+    def test_host_baseline_rejects_latitude_out_of_range(self, spark):
+        rows = FIVE[:4] + [(5, 91.0, -87.7005, "B")]
+        with pytest.raises(ValueError, match="bad coordinates"):
+            host_baseline_clean(spark.createDataFrame(rows, SCHEMA), "ward")
+
+    def test_valid_five_records_repair_the_minority_value(self, spark):
+        out = sparcle_clean(spark.createDataFrame(FIVE, SCHEMA), RANGE, corrector="aimnet")
+        assert out.diagnostics["n_records"] == 5
+        assert [(r.rid, r.new_value) for r in out.repairs.collect()] == [(5, "A")]
+
+
+class TestDegenerateInputs:
+    """Inputs with nothing to repair return the input unchanged."""
+
+    @pytest.mark.parametrize("constraint", [RANGE, KNN], ids=["range", "knn"])
+    @pytest.mark.parametrize(
+        "rows",
+        [[], FIVE[:1], FIVE[:4]],
+        ids=["empty", "single-record", "one-distinct-value"],
+    )
+    def test_no_repairs_and_every_row_kept(self, spark, rows, constraint):
+        df = spark.createDataFrame(rows, SCHEMA)
+        out = sparcle_clean(df, constraint, corrector="aimnet")
+        assert out.repairs.count() == 0
+        assert out.repaired_df.count() == len(rows)
