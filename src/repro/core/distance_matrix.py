@@ -4,8 +4,10 @@ For a constraint ``C`` over attribute ``A``, the DistanceMatrix is the
 materialised spatial self-join ``(R1, R2, v1, v2, D, W)``: ``R2`` is within
 range ``d`` of ``R1`` (or among its k nearest), ``v1/v2`` are the two
 records' values of ``A``, ``D`` the distance under ``F`` and ``W`` the
-weight under ``W``. All later Sparcle stages are cheap scans/joins of this
-table, which is why the paper materialises it once per constraint.
+weight under ``W``. It is one self-join that carries ``A`` on both sides
+(``repro.spatial.join``), plus the ``W`` column. All later Sparcle stages
+are cheap scans/joins of this table, which is why the paper materialises it
+once per constraint.
 """
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
@@ -13,79 +15,15 @@ from pyspark.sql import functions as F
 from repro.core.constraints import (
     Constraint,
     ExactLocationConstraint,
-    SpatialKNNConstraint,
     SpatialRangeConstraint,
 )
-from repro.spatial.join import DIST, R1, R2, Extent, self_exact_join, self_knn_join, self_range_join
+from repro.spatial.join import (
+    DIST, R1, R2, V1, V2, Extent, self_exact_join, self_knn_join, self_range_join,
+)
 
-V1 = "v1"
-V2 = "v2"
 W = "w"
 
 DM_COLUMNS = (R1, R2, V1, V2, DIST, W)
-
-
-def build_pairs(
-    df: DataFrame,
-    constraint: Constraint,
-    *,
-    id_col: str = "rid",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-    extent: Extent | None = None,
-) -> DataFrame:
-    """Weighted neighbor pairs ``(r1, r2, dist_m, w)`` for ``constraint``."""
-    if isinstance(constraint, ExactLocationConstraint):
-        pairs = self_exact_join(df, id_col=id_col, lat_col=lat_col, lon_col=lon_col)
-        return pairs.withColumn(W, F.lit(1.0))
-    if isinstance(constraint, SpatialRangeConstraint):
-        if constraint.d_m == 0:
-            # d=0 degenerates to the exact-equality constraint (§6.1).
-            pairs = self_exact_join(df, id_col=id_col, lat_col=lat_col, lon_col=lon_col)
-            return pairs.withColumn(W, F.lit(1.0))
-        pairs = self_range_join(
-            df,
-            d_m=constraint.d_m,
-            id_col=id_col,
-            lat_col=lat_col,
-            lon_col=lon_col,
-            distance=constraint.distance,
-            extent=extent,
-        )
-        return pairs.withColumn(
-            W, constraint.weight.expr(F.col(DIST), F.lit(float(constraint.d_m)))
-        )
-    if isinstance(constraint, SpatialKNNConstraint):
-        pairs = self_knn_join(
-            df,
-            k=constraint.k,
-            id_col=id_col,
-            lat_col=lat_col,
-            lon_col=lon_col,
-            distance=constraint.distance,
-            extent=extent,
-        )
-        # The paper sets d to the k-th neighbor distance of each r1 (§6).
-        kth = Window.partitionBy(R1)
-        pairs = pairs.withColumn("_d_max", F.max(DIST).over(kth))
-        return pairs.withColumn(
-            W, constraint.weight.expr(F.col(DIST), F.col("_d_max"))
-        ).drop("_d_max")
-    raise TypeError(f"unsupported constraint {constraint!r}")
-
-
-def attach_values(
-    pairs: DataFrame, df: DataFrame, attribute: str, *, id_col: str = "rid"
-) -> DataFrame:
-    """Join the dependent attribute onto both sides of the pair table."""
-    vals = df.select(F.col(id_col), F.col(attribute))
-    return (
-        pairs.join(
-            vals.select(F.col(id_col).alias(R1), F.col(attribute).alias(V1)), on=R1
-        )
-        .join(vals.select(F.col(id_col).alias(R2), F.col(attribute).alias(V2)), on=R2)
-        .select(*DM_COLUMNS)
-    )
 
 
 def build_distance_matrix(
@@ -98,7 +36,24 @@ def build_distance_matrix(
     extent: Extent | None = None,
 ) -> DataFrame:
     """The full ``(R1, R2, v1, v2, D, W)`` DistanceMatrix for a constraint."""
-    pairs = build_pairs(
-        df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col, extent=extent
-    )
-    return attach_values(pairs, df, constraint.attribute, id_col=id_col)
+    if not isinstance(constraint, Constraint):
+        raise TypeError(f"unsupported constraint {constraint!r}")
+    cols = dict(id_col=id_col, lat_col=lat_col, lon_col=lon_col, value_col=constraint.attribute)
+    if isinstance(constraint, ExactLocationConstraint) or (
+        # d=0 degenerates to the exact-equality constraint (§6.1).
+        isinstance(constraint, SpatialRangeConstraint) and constraint.d_m == 0
+    ):
+        return self_exact_join(df, **cols).withColumn(W, F.lit(1.0))
+    if isinstance(constraint, SpatialRangeConstraint):
+        pairs = self_range_join(
+            df, d_m=constraint.d_m, distance=constraint.distance, extent=extent, **cols
+        )
+        return pairs.withColumn(
+            W, constraint.weight.expr(F.col(DIST), F.lit(float(constraint.d_m)))
+        )
+    pairs = self_knn_join(df, k=constraint.k, distance=constraint.distance, extent=extent, **cols)
+    # The paper sets d to the k-th neighbor distance of each r1 (§6).
+    pairs = pairs.withColumn("_d_max", F.max(DIST).over(Window.partitionBy(R1)))
+    return pairs.withColumn(
+        W, constraint.weight.expr(F.col(DIST), F.col("_d_max"))
+    ).drop("_d_max")

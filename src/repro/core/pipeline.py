@@ -110,7 +110,6 @@ def sparcle_clean(
     other_attrs: Sequence[str] = (),
     min_prob: float = 0.05,
     max_prob: float = 0.95,
-    extent: Extent | None = None,
 ) -> CleanResult:
     """Clean ``constraint.attribute`` of ``df``; see module docstring.
 
@@ -121,12 +120,11 @@ def sparcle_clean(
         raise ValueError(f"corrector must be one of {CORRECTORS}, got {corrector!r}")
     t0 = time.perf_counter()
     attribute = constraint.attribute
-    checked = _checked_extent(df, id_col=id_col, lat_col=lat_col, lon_col=lon_col)
-    n_records = checked.n
+    extent = _checked_extent(df, id_col=id_col, lat_col=lat_col, lon_col=lon_col)
+    n_records = extent.n
 
     dm = build_distance_matrix(
-        df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col,
-        extent=extent or checked,
+        df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col, extent=extent
     ).cache()
     n_pairs = dm.count()  # materialise: every later stage scans this table
 

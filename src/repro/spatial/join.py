@@ -3,8 +3,10 @@
 These are the "spatial database" operations the paper delegates to PostGIS
 (§3.2): range self-join, kNN self-join, and the degenerate exact-location
 self-join used by the non-spatial baseline. All return a pair DataFrame
-``(r1, r2, dist_m)`` with ``r1 != r2``; range/exact output is symmetric
-(both orientations of each pair), kNN output is directed (``r2`` is among
+``(r1, r2, v1, v2, dist_m)`` with ``r1 != r2``, where ``v1``/``v2`` are the
+two records' values of ``value_col``, carried through the join as PostGIS
+would project ``a.A, b.A``; range/exact output is symmetric (both
+orientations of each pair), kNN output is directed (``r2`` is among
 ``r1``'s k nearest).
 """
 import math
@@ -18,7 +20,12 @@ from repro.spatial.geo import M_PER_DEG_LAT, distance_expr, meters_per_degree_lo
 
 R1 = "r1"
 R2 = "r2"
+V1 = "v1"
+V2 = "v2"
 DIST = "dist_m"
+PAIR_COLUMNS = (R1, R2, V1, V2, DIST)
+#: Radius-doubling rounds of the kNN join before it falls back to the extent.
+KNN_MAX_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,7 @@ def _pair_join(
     id_col: str,
     lat_col: str,
     lon_col: str,
+    value_col: str,
     distance: str,
 ) -> DataFrame:
     """All (left, right) pairs with distinct ids within ``d_m`` meters."""
@@ -96,6 +104,7 @@ def _pair_join(
             F.col(id_col).alias(R2),
             F.col(lat_col).alias("_lat2"),
             F.col(lon_col).alias("_lon2"),
+            F.col(value_col).alias(V2),
         ),
         d_m=d_m,
         max_abs_lat_deg=extent.max_abs_lat,
@@ -108,6 +117,7 @@ def _pair_join(
                 F.col(id_col).alias(R1),
                 F.col(lat_col).alias("_lat1"),
                 F.col(lon_col).alias("_lon1"),
+                F.col(value_col).alias(V1),
             ),
             d_m=d_m,
             max_abs_lat_deg=extent.max_abs_lat,
@@ -128,7 +138,7 @@ def _pair_join(
         .where(F.col(R1) != F.col(R2))
         .withColumn(DIST, dist)
         .where(F.col(DIST) < F.lit(float(d_m)))
-        .select(R1, R2, DIST)
+        .select(*PAIR_COLUMNS)
     )
 
 
@@ -136,31 +146,29 @@ def self_range_join(
     df: DataFrame,
     *,
     d_m: float,
+    value_col: str,
     id_col: str = "rid",
     lat_col: str = "lat",
     lon_col: str = "lon",
     distance: str = "equirect",
     extent: Extent | None = None,
 ) -> DataFrame:
-    """Symmetric pairs ``(r1, r2, dist_m)`` with ``dist_m < d_m``, r1 != r2.
+    """Symmetric pairs ``(r1, r2, v1, v2, dist_m)`` with ``dist_m < d_m``, r1 != r2.
 
     Matches the paper's ``SpatialRange`` predicate: strict ``F(r1,r2) < d``.
     """
     extent = extent or compute_extent(df, lat_col, lon_col)
-    if extent.n == 0:
-        return _pair_join(
-            df, df, d_m=max(d_m, 1.0), extent=extent, id_col=id_col,
-            lat_col=lat_col, lon_col=lon_col, distance=distance,
-        )
+    # Empty input yields no pairs at any tile size; a positive one lets d_m = 0 pass.
     return _pair_join(
-        df, df, d_m=d_m, extent=extent, id_col=id_col,
-        lat_col=lat_col, lon_col=lon_col, distance=distance,
+        df, df, d_m=d_m if extent.n else max(d_m, 1.0), extent=extent, id_col=id_col,
+        lat_col=lat_col, lon_col=lon_col, value_col=value_col, distance=distance,
     )
 
 
 def self_exact_join(
     df: DataFrame,
     *,
+    value_col: str,
     id_col: str = "rid",
     lat_col: str = "lat",
     lon_col: str = "lon",
@@ -170,16 +178,16 @@ def self_exact_join(
     This is the equality self-join current cleaning systems run (§3.2):
     co-occurrence exists only where coordinates are duplicated.
     """
-    right = df.select(
-        F.col(id_col).alias(R2), F.col(lat_col).alias("_lat"), F.col(lon_col).alias("_lon")
-    )
-    left = df.select(
-        F.col(id_col).alias(R1), F.col(lat_col).alias("_lat"), F.col(lon_col).alias("_lon")
-    )
+    def side(rid: str, v: str) -> DataFrame:
+        return df.select(
+            F.col(id_col).alias(rid), F.col(lat_col).alias("_lat"),
+            F.col(lon_col).alias("_lon"), F.col(value_col).alias(v),
+        )
+
     return (
-        left.join(right, on=["_lat", "_lon"])
+        side(R1, V1).join(side(R2, V2), on=["_lat", "_lon"])
         .where(F.col(R1) != F.col(R2))
-        .select(R1, R2, F.lit(0.0).alias(DIST))
+        .select(R1, R2, V1, V2, F.lit(0.0).alias(DIST))
     )
 
 
@@ -187,17 +195,18 @@ def self_knn_join(
     df: DataFrame,
     *,
     k: int,
+    value_col: str,
     id_col: str = "rid",
     lat_col: str = "lat",
     lon_col: str = "lon",
     distance: str = "equirect",
     extent: Extent | None = None,
-    max_rounds: int = 8,
 ) -> DataFrame:
-    """Directed k-nearest-neighbor pairs ``(r1, r2, dist_m)``.
+    """Directed k-nearest-neighbor pairs ``(r1, r2, v1, v2, dist_m)``.
 
     Grid range-join at an estimated radius, then iterative radius doubling
-    for the records that found fewer than ``k`` neighbors; a final
+    for the records that found fewer than ``k`` neighbors (at most
+    ``KNN_MAX_ROUNDS`` rounds, then one join over the whole extent); a final
     ``row_number`` window trims to exactly ``min(k, n-1)`` per ``r1``
     (ties broken by ``r2`` for determinism). Equivalent to an index-backed
     kNN self-join, expressed as DataFrame rounds.
@@ -207,21 +216,25 @@ def self_knn_join(
     extent = extent or compute_extent(df, lat_col, lon_col)
     spark = df.sparkSession
     if extent.n <= 1:
-        return spark.createDataFrame([], schema=f"{R1} long, {R2} long, {DIST} double")
+        vtype = df.schema[value_col].dataType.simpleString()
+        return spark.createDataFrame(
+            [], schema=f"{R1} long, {R2} long, {V1} {vtype}, {V2} {vtype}, {DIST} double"
+        )
 
     # Radius such that a disk holds ~3(k+1) points under uniform density.
     density = extent.n / extent.area_m2
     radius = max(
         math.sqrt(3.0 * (k + 1) / (math.pi * density)), extent.diagonal_m / 1024, 1.0
     )
-    points = df.select(id_col, lat_col, lon_col)
+    points = df.select(id_col, lat_col, lon_col, value_col)
+    cols = dict(
+        extent=extent, id_col=id_col, lat_col=lat_col, lon_col=lon_col,
+        value_col=value_col, distance=distance,
+    )
     unresolved = points
     resolved_parts: list[DataFrame] = []
-    for _ in range(max_rounds):
-        pairs = _pair_join(
-            unresolved, points, d_m=radius, extent=extent, id_col=id_col,
-            lat_col=lat_col, lon_col=lon_col, distance=distance,
-        )
+    for _ in range(KNN_MAX_ROUNDS):
+        pairs = _pair_join(unresolved, points, d_m=radius, **cols)
         exhaustive = radius >= extent.diagonal_m  # radius covers the extent
         counts = pairs.groupBy(R1).agg(F.count(F.lit(1)).alias("_cnt"))
         done_ids = (
@@ -238,12 +251,9 @@ def self_knn_join(
             unresolved = None
             break
         radius = min(radius * 2.0, extent.diagonal_m)
-    if unresolved is not None:  # max_rounds hit: finish with the full extent
+    if unresolved is not None:  # KNN_MAX_ROUNDS hit: finish with the full extent
         resolved_parts.append(
-            _pair_join(
-                unresolved, points, d_m=extent.diagonal_m * 1.01, extent=extent,
-                id_col=id_col, lat_col=lat_col, lon_col=lon_col, distance=distance,
-            )
+            _pair_join(unresolved, points, d_m=extent.diagonal_m * 1.01, **cols)
         )
     all_pairs = resolved_parts[0]
     for p in resolved_parts[1:]:
@@ -252,5 +262,5 @@ def self_knn_join(
     return (
         all_pairs.withColumn("_rank", F.row_number().over(w))
         .where(F.col("_rank") <= k)
-        .select(R1, R2, DIST)
+        .select(*PAIR_COLUMNS)
     )

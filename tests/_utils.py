@@ -8,15 +8,20 @@ BBOX_SMALL = (41.80, 41.90, -87.70, -87.60)  # ~11 km × 8 km patch of Chicago
 
 
 def rand_points(n: int, *, seed: int = 0, bbox=BBOX_SMALL) -> pd.DataFrame:
-    """Uniform random (rid, lat, lon) points inside ``bbox``."""
+    """Uniform random (rid, lat, lon, v) points inside ``bbox``.
+
+    ``v`` is a dependent value: one of three labels, null for about 10% of
+    the records. It is drawn after the coordinates, so a seed gives the
+    same points with or without it.
+    """
     lat_min, lat_max, lon_min, lon_max = bbox
     g = np.random.default_rng(seed)
+    lat = g.uniform(lat_min, lat_max, n)
+    lon = g.uniform(lon_min, lon_max, n)
+    v = g.choice(np.array(["A", "B", "C"], dtype=object), n)
+    v[g.random(n) < 0.1] = None
     return pd.DataFrame(
-        {
-            "rid": np.arange(n, dtype=np.int64),
-            "lat": g.uniform(lat_min, lat_max, n),
-            "lon": g.uniform(lon_min, lon_max, n),
-        }
+        {"rid": np.arange(n, dtype=np.int64), "lat": lat, "lon": lon, "v": v}
     )
 
 

@@ -9,7 +9,7 @@ from repro.core.constraints import (
     SpatialRangeConstraint,
     WeightFunction,
 )
-from repro.core.distance_matrix import DM_COLUMNS, build_distance_matrix, build_pairs
+from repro.core.distance_matrix import DM_COLUMNS, build_distance_matrix
 from repro.spatial.geo import M_PER_DEG_LAT
 
 
@@ -128,4 +128,4 @@ class TestUnsupportedConstraint:
     def test_type_error(self, spark):
         df = line_df(spark, [(0.0, "A")])
         with pytest.raises(TypeError, match="unsupported constraint"):
-            build_pairs(df, object())  # type: ignore[arg-type]
+            build_distance_matrix(df, object())  # type: ignore[arg-type]

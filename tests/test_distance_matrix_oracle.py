@@ -1,0 +1,103 @@
+"""The whole DistanceMatrix ``(r1, r2, v1, v2, dist_m, w)`` against DuckDB.
+
+Each case builds the matrix with ``build_distance_matrix`` over random
+points whose value column has three labels and about 10% nulls, and
+compares all six columns with the same relation written as SQL.
+"""
+import pytest
+
+from repro.core.constraints import (
+    ExactLocationConstraint,
+    SpatialKNNConstraint,
+    SpatialRangeConstraint,
+    WeightFunction,
+)
+from repro.core.distance_matrix import DM_COLUMNS, build_distance_matrix
+from repro.oracle import assert_equivalent
+from repro.spatial.join import compute_extent
+from tests._utils import equirect_sql, haversine_sql, rand_points
+
+
+def _weight_sql(n: float, d_max: str) -> str:
+    """``(1 − dist/d)^n``, the paper's weight, in DuckDB."""
+    return f"pow(greatest(0.0, 1.0 - dist_m / {d_max}), {float(n)!r})"
+
+
+def _pairs_sql(dist: str, where: str) -> str:
+    return f"""
+        SELECT a.rid AS r1, b.rid AS r2, a.v AS v1, b.v AS v2, {dist} AS dist_m
+        FROM pts a JOIN pts b ON a.rid <> b.rid AND {where}
+    """
+
+
+class TestRangeMatrix:
+    @pytest.mark.parametrize("d, n", [(400.0, 2.0), (1200.0, 1.0)])
+    def test_equirect_matches_duckdb(self, spark, d, n):
+        pdf = rand_points(160, seed=60)
+        sdf = spark.createDataFrame(pdf)
+        dist = equirect_sql(compute_extent(sdf, "lat", "lon").ref_lat)
+        dm = build_distance_matrix(
+            sdf, SpatialRangeConstraint("v", d, WeightFunction(n=n), distance="equirect")
+        )
+        assert tuple(dm.columns) == DM_COLUMNS
+        sql = f"""
+            SELECT *, {_weight_sql(n, repr(d))} AS w
+            FROM ({_pairs_sql(dist, f"{dist} < {d!r}")})
+        """
+        assert_equivalent(dm, sql, pts=pdf)
+
+    def test_haversine_matches_duckdb(self, spark):
+        pdf = rand_points(120, seed=61)
+        d = 900.0
+        dm = build_distance_matrix(
+            spark.createDataFrame(pdf),
+            SpatialRangeConstraint("v", d, WeightFunction(n=2.0), distance="haversine"),
+        )
+        dist = haversine_sql()
+        sql = f"""
+            SELECT *, {_weight_sql(2.0, repr(d))} AS w
+            FROM ({_pairs_sql(dist, f"{dist} < {d!r}")})
+        """
+        assert_equivalent(dm, sql, pts=pdf)
+
+
+class TestExactMatrix:
+    @pytest.mark.parametrize(
+        "constraint", [ExactLocationConstraint("v"), SpatialRangeConstraint("v", 0.0)]
+    )
+    def test_duplicated_coordinates_match_duckdb(self, spark, constraint):
+        pdf = rand_points(60, seed=62)
+        pdf.loc[5:9, ["lat", "lon"]] = pdf.loc[0, ["lat", "lon"]].values
+        pdf.loc[20:22, ["lat", "lon"]] = pdf.loc[30, ["lat", "lon"]].values
+        dm = build_distance_matrix(spark.createDataFrame(pdf), constraint)
+        sql = f"""
+            SELECT *, 1.0 AS w
+            FROM ({_pairs_sql("0.0", "a.lat = b.lat AND a.lon = b.lon")})
+        """
+        assert_equivalent(dm, sql, pts=pdf)
+
+
+class TestKnnMatrix:
+    def test_k3_matches_duckdb(self, spark):
+        pdf = rand_points(140, seed=63)
+        sdf = spark.createDataFrame(pdf)
+        k, n, floor = 3, 2.0, 0.01
+        dist = equirect_sql(compute_extent(sdf, "lat", "lon").ref_lat)
+        dm = build_distance_matrix(
+            sdf, SpatialKNNConstraint("v", k=k, weight=WeightFunction(n=n, floor=floor))
+        )
+        # d is each r1's k-th neighbour distance; the floor keeps that
+        # neighbour's weight at 0.01 instead of 0.
+        sql = f"""
+            WITH ranked AS (
+                SELECT *, row_number() OVER (PARTITION BY r1 ORDER BY dist_m, r2) AS rk
+                FROM ({_pairs_sql(dist, "true")})
+            ), knn AS (
+                SELECT *, max(dist_m) OVER (PARTITION BY r1) AS d_max
+                FROM ranked WHERE rk <= {k}
+            )
+            SELECT r1, r2, v1, v2, dist_m,
+                   greatest({_weight_sql(n, "d_max")}, {floor!r}) AS w
+            FROM knn
+        """
+        assert_equivalent(dm, sql, pts=pdf)

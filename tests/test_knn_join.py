@@ -24,7 +24,7 @@ class TestAgainstBruteForce:
         pdf = rand_points(150, seed=30)
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf, "lat", "lon")
-        got = self_knn_join(sdf, k=k).toPandas()
+        got = self_knn_join(sdf, k=k, value_col="v").toPandas()
         expected = brute_knn(pdf, k, ext.ref_lat)
         assert set(zip(got["r1"], got["r2"])) == expected
 
@@ -38,56 +38,62 @@ class TestAgainstBruteForce:
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf, "lat", "lon")
         k = 45  # forces every record to reach into the other cluster
-        got = self_knn_join(sdf, k=k).toPandas()
+        got = self_knn_join(sdf, k=k, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, k, ext.ref_lat)
 
     def test_lone_outlier_point(self, spark):
         pdf = rand_points(30, seed=33)
-        outlier = pd.DataFrame({"rid": [999], "lat": [41.99], "lon": [-87.40]})
+        outlier = pd.DataFrame({"rid": [999], "lat": [41.99], "lon": [-87.40], "v": ["A"]})
         pdf = pd.concat([pdf, outlier], ignore_index=True)
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf, "lat", "lon")
-        got = self_knn_join(sdf, k=3).toPandas()
+        got = self_knn_join(sdf, k=3, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, ext.ref_lat)
 
 
 class TestInvariants:
     def test_exactly_k_rows_per_record(self, spark):
         pdf = rand_points(80, seed=34)
-        got = self_knn_join(spark.createDataFrame(pdf), k=5).toPandas()
+        got = self_knn_join(spark.createDataFrame(pdf), k=5, value_col="v").toPandas()
         counts = got.groupby("r1").size()
         assert (counts == 5).all() and len(counts) == 80
 
     def test_k_exceeding_population_returns_all_others(self, spark):
         pdf = rand_points(6, seed=35)
-        got = self_knn_join(spark.createDataFrame(pdf), k=50).toPandas()
+        got = self_knn_join(spark.createDataFrame(pdf), k=50, value_col="v").toPandas()
         counts = got.groupby("r1").size()
         assert (counts == 5).all() and len(counts) == 6
 
     def test_distances_sorted_within_radius(self, spark):
         pdf = rand_points(60, seed=36)
-        got = self_knn_join(spark.createDataFrame(pdf), k=4).toPandas()
+        got = self_knn_join(spark.createDataFrame(pdf), k=4, value_col="v").toPandas()
         assert (got[DIST] >= 0).all()
 
     def test_directed_not_necessarily_symmetric(self, spark):
         # kNN is a directed relation; with k=1 asymmetry almost surely occurs.
         pdf = rand_points(50, seed=37)
-        got = self_knn_join(spark.createDataFrame(pdf), k=1).toPandas()
+        got = self_knn_join(spark.createDataFrame(pdf), k=1, value_col="v").toPandas()
         pairs = set(zip(got["r1"], got["r2"]))
         assert any((b, a) not in pairs for a, b in pairs)
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_invalid_k_raises(self, spark, k):
         with pytest.raises(ValueError, match="positive"):
-            self_knn_join(spark.createDataFrame(rand_points(5, seed=38)), k=k)
+            self_knn_join(spark.createDataFrame(rand_points(5, seed=38)), k=k, value_col="v")
 
     def test_single_record_empty_result(self, spark):
-        out = self_knn_join(spark.createDataFrame(rand_points(1, seed=39)), k=3)
+        out = self_knn_join(spark.createDataFrame(rand_points(1, seed=39)), k=3, value_col="v")
         assert out.count() == 0
+        assert dict(out.dtypes) == {
+            "r1": "bigint", "r2": "bigint", "v1": "string", "v2": "string", DIST: "double"
+        }
 
     def test_deterministic_across_runs(self, spark):
         pdf = rand_points(70, seed=40)
         sdf = spark.createDataFrame(pdf)
-        a = self_knn_join(sdf, k=3).toPandas().sort_values(["r1", "r2"]).reset_index(drop=True)
-        b = self_knn_join(sdf, k=3).toPandas().sort_values(["r1", "r2"]).reset_index(drop=True)
+        a, b = (
+            self_knn_join(sdf, k=3, value_col="v").toPandas()
+            .sort_values(["r1", "r2"]).reset_index(drop=True)
+            for _ in range(2)
+        )
         pd.testing.assert_frame_equal(a, b)

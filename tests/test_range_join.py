@@ -14,9 +14,10 @@ class TestAgainstOracle:
         pdf = rand_points(180, seed=10)
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf, "lat", "lon")
-        got = self_range_join(sdf, d_m=d, distance="equirect")
+        got = self_range_join(sdf, d_m=d, value_col="v", distance="equirect")
         sql = f"""
-            SELECT a.rid AS r1, b.rid AS r2, {equirect_sql(ext.ref_lat)} AS dist_m
+            SELECT a.rid AS r1, b.rid AS r2, a.v AS v1, b.v AS v2,
+                   {equirect_sql(ext.ref_lat)} AS dist_m
             FROM pts a JOIN pts b ON a.rid <> b.rid
             WHERE {equirect_sql(ext.ref_lat)} < {d!r}
         """
@@ -25,9 +26,11 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("d", [300.0, 1500.0])
     def test_haversine_matches_duckdb(self, spark, d):
         pdf = rand_points(120, seed=11)
-        got = self_range_join(spark.createDataFrame(pdf), d_m=d, distance="haversine")
+        got = self_range_join(
+            spark.createDataFrame(pdf), d_m=d, value_col="v", distance="haversine"
+        )
         sql = f"""
-            SELECT a.rid AS r1, b.rid AS r2, {haversine_sql()} AS dist_m
+            SELECT a.rid AS r1, b.rid AS r2, a.v AS v1, b.v AS v2, {haversine_sql()} AS dist_m
             FROM pts a JOIN pts b ON a.rid <> b.rid
             WHERE {haversine_sql()} < {d!r}
         """
@@ -38,7 +41,7 @@ class TestInvariants:
     @pytest.fixture(scope="class")
     def joined(self, spark):
         pdf = rand_points(200, seed=12)
-        out = self_range_join(spark.createDataFrame(pdf), d_m=800.0).toPandas()
+        out = self_range_join(spark.createDataFrame(pdf), d_m=800.0, value_col="v").toPandas()
         return pdf, out
 
     def test_symmetric(self, joined):
@@ -61,7 +64,7 @@ class TestInvariants:
 
     def test_tiny_radius_yields_empty(self, spark):
         pdf = rand_points(60, seed=13)
-        assert self_range_join(spark.createDataFrame(pdf), d_m=0.5).count() == 0
+        assert self_range_join(spark.createDataFrame(pdf), d_m=0.5, value_col="v").count() == 0
 
     def test_duplicate_locations_pair_at_zero(self, spark):
         pdf = rand_points(5, seed=14)
@@ -70,26 +73,27 @@ class TestInvariants:
         both = spark.createDataFrame(
             __import__("pandas").concat([pdf, dup], ignore_index=True)
         )
-        out = self_range_join(both, d_m=50.0).toPandas()
+        out = self_range_join(both, d_m=50.0, value_col="v").toPandas()
         zero = out[out[DIST] == 0.0]
         assert pairs_set(zero) >= {(i, i + 100) for i in range(5)}
 
     def test_custom_column_names(self, spark):
         pdf = rand_points(40, seed=15).rename(
-            columns={"rid": "id", "lat": "latitude", "lon": "longitude"}
+            columns={"rid": "id", "lat": "latitude", "lon": "longitude", "v": "ward"}
         )
         out = self_range_join(
             spark.createDataFrame(pdf),
             d_m=1000.0, id_col="id", lat_col="latitude", lon_col="longitude",
+            value_col="ward",
         )
-        assert set(out.columns) == {"r1", "r2", DIST}
+        assert set(out.columns) == {"r1", "r2", "v1", "v2", DIST}
 
     def test_precomputed_extent_gives_same_result(self, spark):
         pdf = rand_points(80, seed=16)
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf, "lat", "lon")
-        a = self_range_join(sdf, d_m=700.0).toPandas()
-        b = self_range_join(sdf, d_m=700.0, extent=ext).toPandas()
+        a = self_range_join(sdf, d_m=700.0, value_col="v").toPandas()
+        b = self_range_join(sdf, d_m=700.0, value_col="v", extent=ext).toPandas()
         assert pairs_set(a) == pairs_set(b)
 
 
@@ -98,23 +102,23 @@ class TestExactJoin:
         pdf = rand_points(30, seed=17)
         pdf.loc[1, ["lat", "lon"]] = pdf.loc[0, ["lat", "lon"]].values
         pdf.loc[2, ["lat", "lon"]] = pdf.loc[0, ["lat", "lon"]].values
-        out = self_exact_join(spark.createDataFrame(pdf)).toPandas()
+        out = self_exact_join(spark.createDataFrame(pdf), value_col="v").toPandas()
         assert pairs_set(out) == {
             (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)
         }
         assert (out[DIST] == 0.0).all()
 
     def test_no_duplicates_empty(self, spark):
-        out = self_exact_join(spark.createDataFrame(rand_points(25, seed=18)))
+        out = self_exact_join(spark.createDataFrame(rand_points(25, seed=18)), value_col="v")
         assert out.count() == 0
 
     def test_matches_duckdb(self, spark):
         pdf = rand_points(40, seed=19)
         pdf.loc[5:9, "lat"] = pdf.loc[0, "lat"]
         pdf.loc[5:9, "lon"] = pdf.loc[0, "lon"]
-        got = self_exact_join(spark.createDataFrame(pdf))
+        got = self_exact_join(spark.createDataFrame(pdf), value_col="v")
         sql = """
-            SELECT a.rid AS r1, b.rid AS r2, 0.0 AS dist_m
+            SELECT a.rid AS r1, b.rid AS r2, a.v AS v1, b.v AS v2, 0.0 AS dist_m
             FROM pts a JOIN pts b
               ON a.lat = b.lat AND a.lon = b.lon AND a.rid <> b.rid
         """
@@ -134,7 +138,7 @@ class TestExtent:
         )
 
     def test_empty_input(self, spark):
-        empty = spark.createDataFrame([], schema="rid long, lat double, lon double")
+        empty = spark.createDataFrame([], schema="rid long, lat double, lon double, v string")
         ext = compute_extent(empty, "lat", "lon")
         assert ext.n == 0
-        assert self_range_join(empty, d_m=100.0, extent=ext).count() == 0
+        assert self_range_join(empty, d_m=100.0, value_col="v", extent=ext).count() == 0
