@@ -37,12 +37,12 @@ def detect_errors(
         # (both cells are still caught by the unconditional null check).
         ~F.col(V1).eqNullSafe(F.col(V2))
     )
-    from_pairs = (
+    nulls = df.where(F.col(attribute).isNull()).select(id_col)
+    error_ids = (
         violations.select(F.col(R1).alias(id_col))
         .unionByName(violations.select(F.col(R2).alias(id_col)))
+        .unionByName(nulls)
         .distinct()
     )
-    nulls = df.where(F.col(attribute).isNull()).select(id_col)
-    error_ids = from_pairs.unionByName(nulls).distinct()
     clean_ids = df.select(id_col).join(error_ids, on=id_col, how="leftanti")
     return DetectorResult(clean_ids=clean_ids, error_ids=error_ids)

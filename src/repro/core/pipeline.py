@@ -37,32 +37,31 @@ CORRECTORS = tuple(_HOSTS)
 
 @dataclass
 class CleanResult:
-    """Output of one cleaning run over one constraint."""
+    """Output of one cleaning run over one constraint; nothing in it is cached."""
 
-    repaired_df: DataFrame  # input df with the target attribute repaired
-    repairs: DataFrame  # id_col, old_value, new_value (changed cells only)
-    diagnostics: dict = field(default_factory=dict)
+    repaired_df: DataFrame  # input df with the target attribute repaired, read from `repairs`
+    repairs: DataFrame  # id_col, old_value, new_value (changed cells only), a local checkpoint
+    diagnostics: dict = field(default_factory=dict)  # n_records, elapsed_s
 
 
 def _apply_fixes(
     df: DataFrame, fixes: DataFrame, attribute: str, id_col: str
 ) -> tuple[DataFrame, DataFrame]:
-    """Merge final values into ``df``; return (repaired df, changed cells)."""
-    fixes = fixes.select(F.col(id_col), F.col(REPAIR).alias("_fix"))
-    joined = df.join(fixes, on=id_col, how="left")
-    repaired = joined.withColumn(
-        attribute,
-        F.when(F.col("_fix").isNotNull(), F.col("_fix")).otherwise(F.col(attribute)),
-    ).drop("_fix")
+    """Merge final values into ``df``; return (repaired df, changed cells).
+
+    Checkpointing the changed cells runs the plan once; the repaired df reads it.
+    """
+    fixes = fixes.select(F.col(id_col), F.col(REPAIR).alias("new_value"))
     changed = (
-        joined.where(
-            F.col("_fix").isNotNull() & ~F.col("_fix").eqNullSafe(F.col(attribute))
-        )
-        .select(
-            F.col(id_col),
-            F.col(attribute).alias("old_value"),
-            F.col("_fix").alias("new_value"),
-        )
+        df.join(fixes, on=id_col)
+        .where(F.col("new_value").isNotNull() & ~F.col("new_value").eqNullSafe(F.col(attribute)))
+        .select(F.col(id_col), F.col(attribute).alias("old_value"), F.col("new_value"))
+        .localCheckpoint()
+    )
+    repaired = (
+        df.join(changed.select(id_col, "new_value"), on=id_col, how="left")
+        .withColumn(attribute, F.coalesce(F.col("new_value"), F.col(attribute)))
+        .drop("new_value")
     )
     return repaired, changed
 
@@ -113,6 +112,9 @@ def sparcle_clean(
 ) -> CleanResult:
     """Clean ``constraint.attribute`` of ``df``; see module docstring.
 
+    Runs two Spark actions, the input-contract aggregate and the checkpoint
+    of the changed cells, and releases its caches before it returns.
+
     Raises ``ValueError`` naming the failed check when ``df`` breaks the
     input contract (see :func:`_checked_extent`).
     """
@@ -125,9 +127,7 @@ def sparcle_clean(
 
     dm = build_distance_matrix(
         df, constraint, id_col=id_col, lat_col=lat_col, lon_col=lon_col, extent=extent
-    ).cache()
-    n_pairs = dm.count()  # materialise: every later stage scans this table
-
+    ).cache()  # the detector and the candidate generator both scan it
     detected = detect_errors(df, dm, attribute=attribute, id_col=id_col)
     cand = cg.generate_candidates(
         df,
@@ -140,29 +140,22 @@ def sparcle_clean(
         max_prob=max_prob,
         total=n_records,
     )
-    kept = cand.kept.cache()  # the labels, the corrector and n_labeled all read it
+    kept = cand.kept.cache()  # the labels and the corrector both read it
 
     formatter, lower_is_better = _HOSTS[corrector]
     corrected = argbest(
         formatter(cand.candidates, id_col=id_col), id_col=id_col, lower_is_better=lower_is_better
     )
-
     fixes = (
         cand.labels.select(F.col(id_col), F.col("label").alias(REPAIR))
         .unionByName(corrected.select(F.col(id_col), F.col(REPAIR)))
     )
-    repaired_df, changed = _apply_fixes(df, fixes, attribute, id_col)
-    changed = changed.cache()
-    diagnostics = {
-        "n_records": n_records,
-        "n_pairs": n_pairs,
-        "n_detected_errors": detected.error_ids.count(),
-        "n_labeled": cand.labels.count(),
-        "n_repaired": changed.count(),
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    dm.unpersist(blocking=False)
-    kept.unpersist(blocking=False)
+    try:  # the checkpoint fills both caches; nothing reads them after it
+        repaired_df, changed = _apply_fixes(df, fixes, attribute, id_col)
+    finally:
+        dm.unpersist(blocking=False)
+        kept.unpersist(blocking=False)
+    diagnostics = {"n_records": n_records, "elapsed_s": time.perf_counter() - t0}
     return CleanResult(repaired_df=repaired_df, repairs=changed, diagnostics=diagnostics)
 
 

@@ -291,10 +291,11 @@ def table3(*, sf: float = 1.0) -> pd.DataFrame:
 
 
 def table4(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
-    """Table 4: accuracy on the three real-data analogs, all systems."""
+    """Table 4: accuracy on the three real-data analogs; also writes Table 6."""
     parts = [run_dataset(spark, spec, sf=sf) for spec in REAL_SPECS]
     out = pd.concat(parts, ignore_index=True)
     out.to_csv(results_dir() / "table4.csv", index=False)
+    table6(out)
     return out
 
 
@@ -306,12 +307,10 @@ def table5(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
     return out
 
 
-def table6(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
-    """Table 6: wall-clock per dataset and system (fresh timed runs)."""
-    parts = [run_dataset(spark, spec, sf=sf) for spec in REAL_SPECS]
-    all_rows = pd.concat(parts, ignore_index=True)
+def table6(t4: pd.DataFrame) -> pd.DataFrame:
+    """Table 6: wall-clock per dataset and system, from Table 4's runs."""
     out = (
-        all_rows[all_rows["attribute"] == "Overall"]
+        t4[t4["attribute"] == "Overall"]
         .loc[:, ["dataset", "system", "elapsed_s", "n_records"]]
         .reset_index(drop=True)
     )

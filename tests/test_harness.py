@@ -124,6 +124,29 @@ class TestTableBuilders:
         overall = out[out["attribute"] == "Overall"]
         assert len(overall) == 2 and (overall["elapsed_s"] > 0).all()
 
+    def test_table6_projects_table4_overall_rows(self):
+        t4 = pd.DataFrame(
+            {
+                "dataset": ["austin", "austin", "austin", "nyc"],
+                "attribute": ["zipcode", "city", "Overall", "Overall"],
+                "system": ["sparcle_n2"] * 3 + ["baran"],
+                "f1": [0.9, 0.8, 0.85, 0.5],
+                "elapsed_s": [2.0, 3.0, 5.0, 0.1],
+                "n_records": [600, 600, 600, 900],
+            }
+        )
+        out = H.table6(t4)
+        expected = pd.DataFrame(
+            {
+                "dataset": ["austin", "nyc"],
+                "system": ["sparcle_n2", "baran"],
+                "elapsed_s": [5.0, 0.1],
+                "n_records": [600, 900],
+            }
+        )
+        pd.testing.assert_frame_equal(out, expected)
+        pd.testing.assert_frame_equal(pd.read_csv(H.results_dir() / "table6.csv"), expected)
+
     def test_param_sweep_tiny(self, spark):
         out = H.param_sweep(
             spark, sf=0.25, d_values=(800.0,), n_values=(0.0, 2.0)
