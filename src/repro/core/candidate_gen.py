@@ -28,7 +28,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.distance_matrix import V2, W
-from repro.spatial.join import R1
+from repro.spatial.join import ID, R1
 
 VALUE = "value"
 WEIGHT = "weight"  # phase-1 sum of weights (|Spatial(v, R)|, or 0.01 default)
@@ -55,7 +55,6 @@ class CandidateResult:
     """
 
     kept: DataFrame
-    id_col: str = "rid"
 
     @property
     def candidates(self) -> DataFrame:
@@ -66,7 +65,7 @@ class CandidateResult:
     def labels(self) -> DataFrame:
         """Cells confidently resolved in phase 3; each label is a final repair."""
         top = self.kept.where(F.col("_labeled") & (F.col("_rank") == 1))
-        return top.select(self.id_col, F.col(VALUE).alias("label"))
+        return top.select(ID, F.col(VALUE).alias("label"))
 
 
 def value_frequency(df: DataFrame, attribute: str) -> DataFrame:
@@ -84,7 +83,6 @@ def generate_candidates(
     error_ids: DataFrame,
     *,
     attribute: str,
-    id_col: str = "rid",
     other_attrs: Sequence[str] = (),
     min_prob: float = 0.05,
     max_prob: float = 0.95,
@@ -104,18 +102,18 @@ def generate_candidates(
     # One group-by over the neighbor values and the weightless own values:
     # a value no neighbor shares sums to null, so it takes the default.
     neighbors = (
-        dm.join(error_ids.select(F.col(id_col).alias(R1)), on=R1)
+        dm.join(error_ids.select(F.col(ID).alias(R1)), on=R1)
         .where(F.col(V2).isNotNull())
-        .select(F.col(R1).alias(id_col), F.col(V2).alias(VALUE), F.col(W).alias("_w"))
+        .select(F.col(R1).alias(ID), F.col(V2).alias(VALUE), F.col(W).alias("_w"))
     )
     own = (
-        df.join(error_ids, on=id_col, how="leftsemi")
+        df.join(error_ids, on=ID, how="leftsemi")
         .where(F.col(attribute).isNotNull())
-        .select(F.col(id_col), F.col(attribute).alias(VALUE), F.lit(True).alias("_own"))
+        .select(F.col(ID), F.col(attribute).alias(VALUE), F.lit(True).alias("_own"))
     )
     cands = (
         neighbors.unionByName(own, allowMissingColumns=True)
-        .groupBy(id_col, VALUE)
+        .groupBy(ID, VALUE)
         .agg(
             F.coalesce(F.sum("_w"), F.lit(DEFAULT_OWN_WEIGHT)).alias(WEIGHT),
             F.coalesce(F.sum("_w"), F.lit(0.0)).alias(SPATIAL_WEIGHT),
@@ -143,7 +141,7 @@ def generate_candidates(
         ).agg(F.count(F.lit(1)).alias(f"_co_{a}"))
         cands = (
             cands.join(
-                df.select(F.col(id_col), F.col(a).alias(f"_av_{a}")), on=id_col
+                df.select(F.col(ID), F.col(a).alias(f"_av_{a}")), on=ID
             )
             .join(coocc, on=[VALUE, f"_av_{a}"], how="left")
             .withColumn(
@@ -159,8 +157,8 @@ def generate_candidates(
     # non-null neighbor, from which the §5 formulators score candidates.
     # A cell whose candidates all weigh 0 has no distribution: its
     # prob_norm is null, and the cutoff drops every candidate.
-    cell = Window.partitionBy(id_col)
-    order = Window.partitionBy(id_col).orderBy(F.col(PROB_NORM).desc(), F.col(VALUE).asc())
+    cell = Window.partitionBy(ID)
+    order = Window.partitionBy(ID).orderBy(F.col(PROB_NORM).desc(), F.col(VALUE).asc())
     single = F.count(F.lit(1)).over(cell) == 1
     confident = F.max(PROB_NORM).over(cell) > F.lit(float(max_prob))
     kept = (
@@ -170,7 +168,7 @@ def generate_candidates(
         .withColumn("_rank", F.row_number().over(order))
         .withColumn("_labeled", single | confident)
         .select(
-            id_col, VALUE, WEIGHT, SPATIAL_WEIGHT, TOTAL_WEIGHT, PROB, PROB_NORM, "_rank", "_labeled"
+            ID, VALUE, WEIGHT, SPATIAL_WEIGHT, TOTAL_WEIGHT, PROB, PROB_NORM, "_rank", "_labeled"
         )
     )
-    return CandidateResult(kept=kept, id_col=id_col)
+    return CandidateResult(kept=kept)

@@ -27,31 +27,28 @@ DM_COLUMNS = (R1, R2, V1, V2, DIST, W)
 
 
 def build_distance_matrix(
-    df: DataFrame,
-    constraint: Constraint,
-    *,
-    id_col: str = "rid",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-    extent: Extent | None = None,
+    df: DataFrame, constraint: Constraint, *, extent: Extent | None = None
 ) -> DataFrame:
     """The full ``(R1, R2, v1, v2, D, W)`` DistanceMatrix for a constraint."""
     if not isinstance(constraint, Constraint):
         raise TypeError(f"unsupported constraint {constraint!r}")
-    cols = dict(id_col=id_col, lat_col=lat_col, lon_col=lon_col, value_col=constraint.attribute)
     if isinstance(constraint, ExactLocationConstraint) or (
         # d=0 degenerates to the exact-equality constraint (§6.1).
         isinstance(constraint, SpatialRangeConstraint) and constraint.d_m == 0
     ):
-        return self_exact_join(df, **cols).withColumn(W, F.lit(1.0))
+        return self_exact_join(df, value_col=constraint.attribute).withColumn(W, F.lit(1.0))
     if isinstance(constraint, SpatialRangeConstraint):
         pairs = self_range_join(
-            df, d_m=constraint.d_m, distance=constraint.distance, extent=extent, **cols
+            df, d_m=constraint.d_m, value_col=constraint.attribute,
+            distance=constraint.distance, extent=extent,
         )
         return pairs.withColumn(
             W, constraint.weight.expr(F.col(DIST), F.lit(float(constraint.d_m)))
         )
-    pairs = self_knn_join(df, k=constraint.k, distance=constraint.distance, extent=extent, **cols)
+    pairs = self_knn_join(
+        df, k=constraint.k, value_col=constraint.attribute, distance=constraint.distance,
+        extent=extent,
+    )
     # The paper sets d to the k-th neighbor distance of each r1 (§6).
     pairs = pairs.withColumn("_d_max", F.max(DIST).over(Window.partitionBy(R1)))
     return pairs.withColumn(

@@ -25,36 +25,36 @@ expression over the candidates:
 
 Null-valued neighbors are excluded everywhere (phase 1 drops them): a
 missing value can neither satisfy nor violate a dependency instance.
-Each function returns the candidates with a ``score`` column added. All
-three take the same arguments so that the pipeline can pick one by host
-name; only the Baran format needs ``id_col``.
+Each function takes the candidates and returns them with a ``score``
+column added, so the pipeline can pick one by host name.
 """
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.candidate_gen import SPATIAL_WEIGHT, TOTAL_WEIGHT
+from repro.spatial.join import ID
 
 SCORE = "score"
 
 
-def violation_features(cands: DataFrame, *, id_col: str = "rid") -> DataFrame:
+def violation_features(cands: DataFrame) -> DataFrame:
     """AimNet format: the summed weight of the disagreeing neighbors."""
     return cands.withColumn(SCORE, F.col(TOTAL_WEIGHT) - F.col(SPATIAL_WEIGHT))
 
 
-def probability_features(cands: DataFrame, *, id_col: str = "rid") -> DataFrame:
+def probability_features(cands: DataFrame) -> DataFrame:
     """Baran format: spatial weight normalised over the cell's candidates.
 
     Uses the neighbor-only weight (``spatial_weight``): a candidate kept
     only because it is the cell's original value has no proximity
     co-occurrence and scores 0, as in Figure 4(b).
     """
-    denom = F.sum(SPATIAL_WEIGHT).over(Window.partitionBy(id_col))
+    denom = F.sum(SPATIAL_WEIGHT).over(Window.partitionBy(ID))
     return cands.withColumn(
         SCORE, F.when(denom > 0, F.col(SPATIAL_WEIGHT) / denom).otherwise(F.lit(0.0))
     )
 
 
-def factor_features(cands: DataFrame, *, id_col: str = "rid") -> DataFrame:
+def factor_features(cands: DataFrame) -> DataFrame:
     """HoloClean format: agreeing minus disagreeing neighbor weight."""
     return cands.withColumn(SCORE, 2 * F.col(SPATIAL_WEIGHT) - F.col(TOTAL_WEIGHT))

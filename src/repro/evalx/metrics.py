@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import pandas as pd
 
+from repro.spatial.join import ID, LAT, LON
+
 
 @dataclass(frozen=True)
 class RepairMetrics:
@@ -32,32 +34,22 @@ def _f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
 
 
-def _final_values(
-    pdf: pd.DataFrame, repairs: pd.DataFrame, attribute: str, id_col: str
-) -> pd.Series:
+def _final_values(pdf: pd.DataFrame, repairs: pd.DataFrame, attribute: str) -> pd.Series:
     """Observed values with repairs applied (indexed like ``pdf``)."""
     final = pdf[attribute].copy()
     if len(repairs):
-        fix = repairs.set_index(id_col)["new_value"]
-        rid_index = pdf[id_col]
+        fix = repairs.set_index(ID)["new_value"]
+        rid_index = pdf[ID]
         mask = rid_index.isin(fix.index)
         final.loc[mask] = rid_index[mask].map(fix).values
     return final
 
 
-def evaluate_repairs(
-    pdf: pd.DataFrame,
-    repairs: pd.DataFrame,
-    *,
-    attribute: str,
-    id_col: str = "rid",
-    truth_col: str | None = None,
-) -> RepairMetrics:
-    """Score one dependency's cleaning outcome against ground truth."""
-    truth_col = truth_col or f"{attribute}__truth"
-    truth = pdf[truth_col]
+def evaluate_repairs(pdf: pd.DataFrame, repairs: pd.DataFrame, *, attribute: str) -> RepairMetrics:
+    """Score one dependency's cleaning outcome against ``<attribute>__truth``."""
+    truth = pdf[f"{attribute}__truth"]
     observed = pdf[attribute]
-    final = _final_values(pdf, repairs, attribute, id_col)
+    final = _final_values(pdf, repairs, attribute)
 
     is_error = observed.isna() | (observed != truth)
     repaired = (final != observed) & ~(final.isna() & observed.isna())
@@ -84,25 +76,21 @@ class DuplicationSplit:
 
 
 def duplication_split(
-    pdf: pd.DataFrame,
-    repairs: pd.DataFrame,
-    *,
-    attribute: str,
-    id_col: str = "rid",
+    pdf: pd.DataFrame, repairs: pd.DataFrame, *, attribute: str
 ) -> DuplicationSplit:
     """Recall over all errors, errors at duplicated locations of correct
     records, and errors at new locations (the paper's Table 1)."""
     truth = pdf[f"{attribute}__truth"]
     observed = pdf[attribute]
-    final = _final_values(pdf, repairs, attribute, id_col)
+    final = _final_values(pdf, repairs, attribute)
     is_error = observed.isna() | (observed != truth)
     fixed = is_error & (final == truth)
 
     correct_locs = set(
-        zip(pdf.loc[~is_error, "lat"], pdf.loc[~is_error, "lon"])
+        zip(pdf.loc[~is_error, LAT], pdf.loc[~is_error, LON])
     )
     at_dup = pd.Series(
-        [(la, lo) in correct_locs for la, lo in zip(pdf["lat"], pdf["lon"])],
+        [(la, lo) in correct_locs for la, lo in zip(pdf[LAT], pdf[LON])],
         index=pdf.index,
     )
     dup_err, new_err = is_error & at_dup, is_error & ~at_dup
@@ -121,10 +109,7 @@ def duplication_split(
 
 
 def overall_record_metrics(
-    pdf: pd.DataFrame,
-    repairs_by_attr: dict[str, pd.DataFrame],
-    *,
-    id_col: str = "rid",
+    pdf: pd.DataFrame, repairs_by_attr: dict[str, pd.DataFrame]
 ) -> RepairMetrics:
     """Table-4 "Overall" row: per-record across all dependencies.
 
@@ -139,7 +124,7 @@ def overall_record_metrics(
     for attribute, repairs in repairs_by_attr.items():
         truth = pdf[f"{attribute}__truth"]
         observed = pdf[attribute]
-        final = _final_values(pdf, repairs, attribute, id_col)
+        final = _final_values(pdf, repairs, attribute)
         any_error |= observed.isna() | (observed != truth)
         any_repair |= (final != observed) & ~(final.isna() & observed.isna())
         all_correct &= final == truth

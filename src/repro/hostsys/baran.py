@@ -30,40 +30,35 @@ from dataclasses import dataclass
 
 import pandas as pd
 
+from repro.spatial.join import ID, LAT, LON
+
 
 @dataclass(frozen=True)
 class BaranResult:
     """Repairs plus detection bookkeeping for the metrics layer."""
 
-    repairs: pd.DataFrame  # columns: id_col, repair
+    repairs: pd.DataFrame  # columns: rid, repair
     n_detected: int
     n_models: int
 
 
-def _detect(pdf: pd.DataFrame, attribute: str, lat_col: str, lon_col: str) -> pd.Series:
+def _detect(pdf: pd.DataFrame, attribute: str) -> pd.Series:
     nulls = pdf[attribute].isna()
-    loc = pdf.groupby([lat_col, lon_col])[attribute]
+    loc = pdf.groupby([LAT, LON])[attribute]
     conflict = loc.transform("nunique") > 1  # nunique ignores NaN
     return nulls | conflict
 
 
-def baran_clean(
-    pdf: pd.DataFrame,
-    *,
-    attribute: str,
-    id_col: str = "rid",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-) -> BaranResult:
+def baran_clean(pdf: pd.DataFrame, *, attribute: str) -> BaranResult:
     """Detect and correct errors of ``attribute`` in-memory; see module doc."""
-    pdf = pdf[[id_col, lat_col, lon_col, attribute]].copy()
-    is_err = _detect(pdf, attribute, lat_col, lon_col)
+    pdf = pdf[[ID, LAT, LON, attribute]].copy()
+    is_err = _detect(pdf, attribute)
     errors = pdf[is_err]
     # Like the real system, co-occurrence statistics come from the (dirty)
     # data itself: every non-null cell is evidence, detected or not.
     evidence = pdf[pdf[attribute].notna()]
 
-    feature_sets: list[list[str]] = [[lat_col], [lon_col], [lat_col, lon_col]]
+    feature_sets: list[list[str]] = [[LAT], [LON], [LAT, LON]]
     votes: dict[tuple, dict] = {}
 
     for feats in feature_sets:
@@ -75,19 +70,19 @@ def baran_clean(
         model["p"] = model["cnt"] / grp_tot
         # Merge on the feature columns only: the error rows' own (possibly
         # wrong) target value must not shadow the model's target column.
-        scored = errors[[id_col, *feats]].merge(model, on=feats, how="inner")
-        for rid, val, p in zip(scored[id_col], scored[attribute], scored["p"]):
+        scored = errors[[ID, *feats]].merge(model, on=feats, how="inner")
+        for rid, val, p in zip(scored[ID], scored[attribute], scored["p"]):
             votes.setdefault(rid, {})
             votes[rid][val] = votes[rid].get(val, 0.0) + p
 
     rows = []
-    observed = dict(zip(pdf[id_col], pdf[attribute]))
+    observed = dict(zip(pdf[ID], pdf[attribute]))
     for rid, dist in votes.items():
         best = max(sorted(dist.items(), key=lambda kv: str(kv[0])), key=lambda kv: kv[1])[0]
         obs = observed.get(rid)
         if pd.isna(obs) or best != obs:
             rows.append((rid, best))
-    repairs = pd.DataFrame(rows, columns=[id_col, "repair"])
+    repairs = pd.DataFrame(rows, columns=[ID, "repair"])
     return BaranResult(
         repairs=repairs, n_detected=int(is_err.sum()), n_models=len(feature_sets)
     )

@@ -18,18 +18,19 @@ from pyspark.sql import functions as F
 
 from repro.core.candidate_gen import PROB_NORM, VALUE
 from repro.core.formulator import SCORE
+from repro.spatial.join import ID
 
 REPAIR = "repair"
 
 
-def argbest(scored: DataFrame, *, id_col: str = "rid", lower_is_better: bool) -> DataFrame:
+def argbest(scored: DataFrame, *, lower_is_better: bool) -> DataFrame:
     """Pick, per cell, the best-scored candidate of a formulator's output."""
     score_order = F.col(SCORE).asc() if lower_is_better else F.col(SCORE).desc()
-    w = Window.partitionBy(id_col).orderBy(
+    w = Window.partitionBy(ID).orderBy(
         score_order, F.col(PROB_NORM).desc(), F.col(VALUE).asc()
     )
     return (
         scored.withColumn("_rank", F.row_number().over(w))
         .where(F.col("_rank") == 1)
-        .select(F.col(id_col), F.col(VALUE).alias(REPAIR))
+        .select(F.col(ID), F.col(VALUE).alias(REPAIR))
     )

@@ -30,11 +30,22 @@ def meters_per_degree_lon(ref_lat_deg: float) -> float:
     return M_PER_DEG_LAT * math.cos(math.radians(ref_lat_deg))
 
 
+def delta_lon(lon1: Column, lon2: Column) -> Column:
+    """``lon2 − lon1`` folded into [−180, 180], the short way round the globe.
+
+    A pair on either side of the antimeridian (179.999 and −179.999) is
+    0.002° apart, not 359.998°; a difference already in range is returned
+    unchanged, bit for bit.
+    """
+    d = lon2 - lon1
+    return F.when(d > 180, d - 360).when(d < -180, d + 360).otherwise(d)
+
+
 def haversine_m(lat1: Column, lon1: Column, lat2: Column, lon2: Column) -> Column:
     """Great-circle distance in meters between two (lat, lon) columns."""
     rlat1, rlat2 = F.radians(lat1), F.radians(lat2)
     dlat = F.radians(lat2 - lat1)
-    dlon = F.radians(lon2 - lon1)
+    dlon = F.radians(delta_lon(lon1, lon2))
     a = (
         F.sin(dlat / 2) ** 2
         + F.cos(rlat1) * F.cos(rlat2) * F.sin(dlon / 2) ** 2
@@ -48,7 +59,7 @@ def equirect_m(
 ) -> Column:
     """Equirectangular-projection distance in meters around ``ref_lat_deg``."""
     m_lon = meters_per_degree_lon(ref_lat_deg)
-    dx = (lon2 - lon1) * F.lit(m_lon)
+    dx = delta_lon(lon1, lon2) * F.lit(m_lon)
     dy = (lat2 - lat1) * F.lit(M_PER_DEG_LAT)
     return F.sqrt(dx * dx + dy * dy)
 

@@ -7,11 +7,17 @@ Any two points within ``d`` of each other then land in the same tile or in
 one of its 8 neighbors, so a range join becomes: explode one side over the
 3×3 tile neighborhood, equi-join on the tile key, filter on true distance.
 Catalyst runs this as a shuffle hash/sort-merge join — no cross join.
+
+Longitude tiles wrap around the globe: there are ``N`` of them, each
+360/N degrees wide, and ``_cx`` counts modulo ``N``, so the tiles on
+either side of the antimeridian are neighbors like any other two.
 """
+import math
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.spatial.geo import M_PER_DEG_LAT, meters_per_degree_lon
+from repro.spatial.geo import EARTH_RADIUS_M, M_PER_DEG_LAT
 
 #: Safety margin on tile size: the distance filter uses the exact metric
 #: while tiles are sized by the projection, so oversize tiles slightly to
@@ -22,21 +28,35 @@ CELL_X = "_cx"
 CELL_Y = "_cy"
 
 
+def lon_tile_count(d_m: float, max_abs_lat_deg: float) -> int:
+    """``N``, the number of longitude tiles round the globe for radius ``d_m``.
+
+    Two points at latitudes within ±``max_abs_lat_deg`` = ±φ whose
+    longitudes differ by Δλ ≤ 180° are at least ``2R·asin(cos φ·sin(Δλ/2))``
+    apart on the sphere, and at least as far on the flat projection. A tile
+    as wide as the Δλ that makes this ``d_m`` (padded) therefore leaves no
+    in-range pair in two tiles that do not touch. Near a pole, where the
+    length of a parallel overstates that distance by up to π/2, no Δλ is
+    wide enough and ``N`` is 1.
+    """
+    if d_m <= 0:
+        raise ValueError(f"tile radius must be positive, got {d_m}")
+    s = math.sin(d_m * _TILE_PAD / (2 * EARTH_RADIUS_M))
+    c = math.cos(math.radians(max_abs_lat_deg))
+    if s >= c:
+        return 1
+    return math.floor(360.0 / math.degrees(2 * math.asin(s / c)))
+
+
 def tile_sizes_deg(d_m: float, max_abs_lat_deg: float) -> tuple[float, float]:
     """(lat_deg, lon_deg) tile side for radius ``d_m`` meters.
 
     Longitude degrees shrink toward the poles, so the conversion uses the
-    extent's extreme latitude — the tile is then >= ``d_m`` everywhere.
+    extent's extreme latitude — the tile is then >= ``d_m`` everywhere. The
+    longitude side divides 360 (see :func:`lon_tile_count`).
     """
-    if d_m <= 0:
-        raise ValueError(f"tile radius must be positive, got {d_m}")
-    lat_deg = d_m * _TILE_PAD / M_PER_DEG_LAT
-    m_lon = meters_per_degree_lon(max_abs_lat_deg)
-    if m_lon <= 0:  # exactly polar; whole-world lon tiles
-        return lat_deg, 360.0
-    # Near the pole cos(lat) underflows toward 0 and the tile would exceed
-    # the globe — clamp to one world-spanning tile.
-    return lat_deg, min(d_m * _TILE_PAD / m_lon, 360.0)
+    lon_tiles = lon_tile_count(d_m, max_abs_lat_deg)
+    return d_m * _TILE_PAD / M_PER_DEG_LAT, 360.0 / lon_tiles
 
 
 def with_tiles(
@@ -44,28 +64,32 @@ def with_tiles(
 ) -> DataFrame:
     """Add integer tile coordinates ``(_cx, _cy)`` for radius ``d_m``."""
     lat_deg, lon_deg = tile_sizes_deg(d_m, max_abs_lat_deg)
+    lon_tiles = F.lit(lon_tile_count(d_m, max_abs_lat_deg))
     return df.withColumn(
-        CELL_X, F.floor(F.col(lon_col) / F.lit(lon_deg)).cast("long")
+        CELL_X, F.pmod(F.floor(F.col(lon_col) / F.lit(lon_deg)), lon_tiles).cast("long")
     ).withColumn(CELL_Y, F.floor(F.col(lat_col) / F.lit(lat_deg)).cast("long"))
 
 
-def explode_neighborhood(df: DataFrame) -> DataFrame:
+def explode_neighborhood(df: DataFrame, *, lon_tiles: int) -> DataFrame:
     """Replicate each row over its 3×3 tile neighborhood.
 
     The exploded side is the *probe* side of the join: probing all 9
     neighbor tiles against build-side rows keyed by their own tile finds
     every pair within one tile-length, hence every pair within ``d``.
+    ``_cx`` wraps modulo ``lon_tiles``; with fewer than 3 longitude tiles
+    each one is probed once, so no pair is found twice.
     """
+    dxs = (-1, 0, 1) if lon_tiles >= 3 else range(lon_tiles)
     offsets = F.array(
         *[
             F.struct(F.lit(dx).alias("dx"), F.lit(dy).alias("dy"))
-            for dx in (-1, 0, 1)
+            for dx in dxs
             for dy in (-1, 0, 1)
         ]
     )
     return (
         df.withColumn("_off", F.explode(offsets))
-        .withColumn(CELL_X, F.col(CELL_X) + F.col("_off.dx"))
+        .withColumn(CELL_X, F.pmod(F.col(CELL_X) + F.col("_off.dx"), F.lit(lon_tiles)))
         .withColumn(CELL_Y, F.col(CELL_Y) + F.col("_off.dy"))
         .drop("_off")
     )

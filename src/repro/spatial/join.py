@@ -1,4 +1,4 @@
-"""Spatial self-joins over (id, lat, lon) DataFrames.
+"""Spatial self-joins over ``(rid, lat, lon)`` DataFrames.
 
 These are the "spatial database" operations the paper delegates to PostGIS
 (§3.2): range self-join, kNN self-join, and the degenerate exact-location
@@ -18,6 +18,10 @@ from pyspark.sql import functions as F
 from repro.spatial import grid
 from repro.spatial.geo import M_PER_DEG_LAT, distance_expr, meters_per_degree_lon
 
+#: The input schema every layer reads: a record id and its coordinates.
+ID = "rid"
+LAT = "lat"
+LON = "lon"
 R1 = "r1"
 R2 = "r2"
 V1 = "v1"
@@ -63,14 +67,14 @@ class Extent:
         return max(self.width_m, 1.0) * max(self.height_m, 1.0)
 
 
-def extent_aggs(lat_col: str, lon_col: str) -> list[Column]:
+def extent_aggs() -> list[Column]:
     """The aggregates :func:`extent_from_row` reads, for one ``df.agg`` pass."""
     return [
         F.count(F.lit(1)).alias("n"),
-        F.min(lat_col).alias("lat_min"),
-        F.max(lat_col).alias("lat_max"),
-        F.min(lon_col).alias("lon_min"),
-        F.max(lon_col).alias("lon_max"),
+        F.min(LAT).alias("lat_min"),
+        F.max(LAT).alias("lat_max"),
+        F.min(LON).alias("lon_min"),
+        F.max(LON).alias("lon_max"),
     ]
 
 
@@ -81,9 +85,9 @@ def extent_from_row(row: Row) -> Extent:
     return Extent(row["n"], row["lat_min"], row["lat_max"], row["lon_min"], row["lon_max"])
 
 
-def compute_extent(df: DataFrame, lat_col: str, lon_col: str) -> Extent:
+def compute_extent(df: DataFrame) -> Extent:
     """One aggregation pass for the dataset's bounding box and count."""
-    return extent_from_row(df.agg(*extent_aggs(lat_col, lon_col)).first())
+    return extent_from_row(df.agg(*extent_aggs()).first())
 
 
 def _pair_join(
@@ -92,18 +96,15 @@ def _pair_join(
     *,
     d_m: float,
     extent: Extent,
-    id_col: str,
-    lat_col: str,
-    lon_col: str,
     value_col: str,
     distance: str,
 ) -> DataFrame:
     """All (left, right) pairs with distinct ids within ``d_m`` meters."""
     build = grid.with_tiles(
         right.select(
-            F.col(id_col).alias(R2),
-            F.col(lat_col).alias("_lat2"),
-            F.col(lon_col).alias("_lon2"),
+            F.col(ID).alias(R2),
+            F.col(LAT).alias("_lat2"),
+            F.col(LON).alias("_lon2"),
             F.col(value_col).alias(V2),
         ),
         d_m=d_m,
@@ -114,16 +115,17 @@ def _pair_join(
     probe = grid.explode_neighborhood(
         grid.with_tiles(
             left.select(
-                F.col(id_col).alias(R1),
-                F.col(lat_col).alias("_lat1"),
-                F.col(lon_col).alias("_lon1"),
+                F.col(ID).alias(R1),
+                F.col(LAT).alias("_lat1"),
+                F.col(LON).alias("_lon1"),
                 F.col(value_col).alias(V1),
             ),
             d_m=d_m,
             max_abs_lat_deg=extent.max_abs_lat,
             lat_col="_lat1",
             lon_col="_lon1",
-        )
+        ),
+        lon_tiles=grid.lon_tile_count(d_m, extent.max_abs_lat),
     )
     dist = distance_expr(
         distance,
@@ -147,9 +149,6 @@ def self_range_join(
     *,
     d_m: float,
     value_col: str,
-    id_col: str = "rid",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
     distance: str = "equirect",
     extent: Extent | None = None,
 ) -> DataFrame:
@@ -157,22 +156,15 @@ def self_range_join(
 
     Matches the paper's ``SpatialRange`` predicate: strict ``F(r1,r2) < d``.
     """
-    extent = extent or compute_extent(df, lat_col, lon_col)
+    extent = extent or compute_extent(df)
     # Empty input yields no pairs at any tile size; a positive one lets d_m = 0 pass.
     return _pair_join(
-        df, df, d_m=d_m if extent.n else max(d_m, 1.0), extent=extent, id_col=id_col,
-        lat_col=lat_col, lon_col=lon_col, value_col=value_col, distance=distance,
+        df, df, d_m=d_m if extent.n else max(d_m, 1.0), extent=extent,
+        value_col=value_col, distance=distance,
     )
 
 
-def self_exact_join(
-    df: DataFrame,
-    *,
-    value_col: str,
-    id_col: str = "rid",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-) -> DataFrame:
+def self_exact_join(df: DataFrame, *, value_col: str) -> DataFrame:
     """Pairs at the *same exact* coordinates — the non-spatial baseline.
 
     This is the equality self-join current cleaning systems run (§3.2):
@@ -180,8 +172,8 @@ def self_exact_join(
     """
     def side(rid: str, v: str) -> DataFrame:
         return df.select(
-            F.col(id_col).alias(rid), F.col(lat_col).alias("_lat"),
-            F.col(lon_col).alias("_lon"), F.col(value_col).alias(v),
+            F.col(ID).alias(rid), F.col(LAT).alias("_lat"),
+            F.col(LON).alias("_lon"), F.col(value_col).alias(v),
         )
 
     return (
@@ -196,9 +188,6 @@ def self_knn_join(
     *,
     k: int,
     value_col: str,
-    id_col: str = "rid",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
     distance: str = "equirect",
     extent: Extent | None = None,
 ) -> DataFrame:
@@ -209,11 +198,13 @@ def self_knn_join(
     ``KNN_MAX_ROUNDS`` rounds, then one join over the whole extent); a final
     ``row_number`` window trims to exactly ``min(k, n-1)`` per ``r1``
     (ties broken by ``r2`` for determinism). Equivalent to an index-backed
-    kNN self-join, expressed as DataFrame rounds.
+    kNN self-join, expressed as DataFrame rounds. Every round whose radius
+    is short of the extent runs one Spark action, ``isEmpty`` on the
+    uncached frontier, to decide whether another round is needed.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    extent = extent or compute_extent(df, lat_col, lon_col)
+    extent = extent or compute_extent(df)
     spark = df.sparkSession
     if extent.n <= 1:
         vtype = df.schema[value_col].dataType.simpleString()
@@ -226,11 +217,8 @@ def self_knn_join(
     radius = max(
         math.sqrt(3.0 * (k + 1) / (math.pi * density)), extent.diagonal_m / 1024, 1.0
     )
-    points = df.select(id_col, lat_col, lon_col, value_col)
-    cols = dict(
-        extent=extent, id_col=id_col, lat_col=lat_col, lon_col=lon_col,
-        value_col=value_col, distance=distance,
-    )
+    points = df.select(ID, LAT, LON, value_col)
+    cols = dict(extent=extent, value_col=value_col, distance=distance)
     unresolved = points
     resolved_parts: list[DataFrame] = []
     for _ in range(KNN_MAX_ROUNDS):
@@ -245,7 +233,7 @@ def self_knn_join(
             unresolved = None
             break
         unresolved = unresolved.join(
-            done_ids.withColumnRenamed(R1, id_col), on=id_col, how="leftanti"
+            done_ids.withColumnRenamed(R1, ID), on=ID, how="leftanti"
         )
         if unresolved.isEmpty():
             unresolved = None

@@ -1,9 +1,10 @@
-"""Driver-only pandas reference of Algorithm 2 (§4) and the §5 arg-best.
+"""Driver-only pandas reference of Algorithms 1 (§3.3) and 2 (§4) and the §5 arg-best.
 
-An independent, cell-by-cell restatement of what ``generate_candidates``,
-the three formulators and ``hostsys.corrector.argbest`` compute together.
-It shares no code with them, so the property test in
-``test_alg2_reference.py`` compares two implementations, not one twice.
+An independent, cell-by-cell restatement of what ``detect_errors``,
+``generate_candidates``, the three formulators and
+``hostsys.corrector.argbest`` compute. It shares no code with them, so the
+property tests in ``test_alg2_reference.py`` compare two implementations,
+not one twice.
 """
 import pandas as pd
 
@@ -14,6 +15,16 @@ KEPT_COLS = ["rid", "value", "weight", "spatial_weight", "total_weight", "prob",
 
 def _count(series: pd.Series) -> dict:
     return series.dropna().value_counts().to_dict()
+
+
+def detected(df, dm, *, attribute) -> tuple[set, set]:
+    """Alg. 1: (error ids, clean ids). Both ends of every DM row whose values
+    differ, a null differing from any value, plus every null-valued cell."""
+    errors = set(df.loc[df[attribute].isna(), "rid"])
+    for r1, r2, v1, v2 in zip(dm["r1"], dm["r2"], dm["v1"], dm["v2"]):
+        if pd.isna(v1) != pd.isna(v2) or (pd.notna(v1) and v1 != v2):
+            errors |= {r1, r2}
+    return errors, set(df["rid"]) - errors
 
 
 def kept_candidates(df, dm, error_ids, *, attribute, other_attrs=(), min_prob, max_prob):

@@ -2,9 +2,11 @@
 import numpy as np
 import pandas as pd
 
-from repro.spatial.geo import M_PER_DEG_LAT, meters_per_degree_lon
+from repro.spatial.geo import EARTH_RADIUS_M, M_PER_DEG_LAT, meters_per_degree_lon
 
 BBOX_SMALL = (41.80, 41.90, -87.70, -87.60)  # ~11 km × 8 km patch of Chicago
+BBOX_POLAR_CAP = (89.90, 89.95, -180.0, 180.0)  # a ring round the pole, every longitude
+BBOX_ACROSS_180 = (10.00, 10.05, 179.95, 180.05)  # ~5.5 km × 11 km over the antimeridian
 
 
 def rand_points(n: int, *, seed: int = 0, bbox=BBOX_SMALL) -> pd.DataFrame:
@@ -18,6 +20,7 @@ def rand_points(n: int, *, seed: int = 0, bbox=BBOX_SMALL) -> pd.DataFrame:
     g = np.random.default_rng(seed)
     lat = g.uniform(lat_min, lat_max, n)
     lon = g.uniform(lon_min, lon_max, n)
+    lon = np.where(lon > 180, lon - 360, lon)  # a bbox past 180° wraps to the west
     v = g.choice(np.array(["A", "B", "C"], dtype=object), n)
     v[g.random(n) < 0.1] = None
     return pd.DataFrame(
@@ -31,6 +34,15 @@ def equirect_np(pdf: pd.DataFrame, ref_lat: float) -> np.ndarray:
     dx = (pdf["lon"].values[:, None] - pdf["lon"].values[None, :]) * m_lon
     dy = (pdf["lat"].values[:, None] - pdf["lat"].values[None, :]) * M_PER_DEG_LAT
     return np.sqrt(dx * dx + dy * dy)
+
+
+def haversine_np(pdf: pd.DataFrame) -> np.ndarray:
+    """All-pairs great-circle distance matrix (meters), numpy brute force."""
+    lat, lon = np.radians(pdf["lat"].values), np.radians(pdf["lon"].values)
+    dlat = lat[None, :] - lat[:, None]
+    dlon = lon[None, :] - lon[:, None]
+    a = np.sin(dlat / 2) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2) ** 2
+    return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(a))
 
 
 def equirect_sql(ref_lat: float) -> str:

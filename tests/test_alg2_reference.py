@@ -1,16 +1,18 @@
-"""Property test: Algorithm 2 + §5 formats + arg-best against a pandas reference.
+"""Property tests: Algorithms 1 and 2 + §5 formats + arg-best against a pandas reference.
 
 Each seed builds a random table and DistanceMatrix and runs
-``generate_candidates`` → formulator → ``argbest`` on Spark, then compares
-the kept candidates, the labels and every host's repairs with the
-driver-only reference in ``tests/_alg2_reference.py``.
+``detect_errors``, and ``generate_candidates`` → formulator → ``argbest``,
+on Spark, then compares the flagged cells, the kept candidates, the labels
+and every host's repairs with the driver-only reference in
+``tests/_alg2_reference.py``.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
-from tests._alg2_reference import KEPT_COLS, kept_candidates, labels, repairs
+from tests._alg2_reference import KEPT_COLS, detected, kept_candidates, labels, repairs
 from repro.core.candidate_gen import generate_candidates
+from repro.core.error_detector import detect_errors
 from repro.core.pipeline import _HOSTS
 from repro.hostsys.corrector import REPAIR, argbest
 
@@ -89,6 +91,20 @@ def test_spark_matches_reference(spark, seed):
         picked = argbest(formatter(res.candidates), lower_is_better=lower_is_better)
         got_repairs = {**got_labels, **{r.rid: r[REPAIR] for r in picked.collect()}}
         assert got_repairs == repairs(ref, host), host
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_detector_matches_reference(spark, seed):
+    """On the whole DM almost every cell is flagged; a tenth of its rows
+    leaves cells with no disagreeing neighbor, so both id sets are tested."""
+    case = random_case(seed)
+    df = spark.createDataFrame(case["df"])
+    for dm in (case["dm"], case["dm"].head(len(case["dm"]) // 10)):
+        res = detect_errors(df, spark.createDataFrame(dm, schema=DM_SCHEMA), attribute="ward")
+        want_errors, want_clean = detected(case["df"], dm, attribute="ward")
+        assert {r.rid for r in res.error_ids.collect()} == want_errors
+        assert {r.rid for r in res.clean_ids.collect()} == want_clean
+    assert want_errors and want_clean
 
 
 def test_random_cases_cover_the_edge_cases():

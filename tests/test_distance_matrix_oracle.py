@@ -35,7 +35,7 @@ class TestRangeMatrix:
     def test_equirect_matches_duckdb(self, spark, d, n):
         pdf = rand_points(160, seed=60)
         sdf = spark.createDataFrame(pdf)
-        dist = equirect_sql(compute_extent(sdf, "lat", "lon").ref_lat)
+        dist = equirect_sql(compute_extent(sdf).ref_lat)
         dm = build_distance_matrix(
             sdf, SpatialRangeConstraint("v", d, WeightFunction(n=n), distance="equirect")
         )
@@ -82,7 +82,7 @@ class TestKnnMatrix:
         pdf = rand_points(140, seed=63)
         sdf = spark.createDataFrame(pdf)
         k, n, floor = 3, 2.0, 0.01
-        dist = equirect_sql(compute_extent(sdf, "lat", "lon").ref_lat)
+        dist = equirect_sql(compute_extent(sdf).ref_lat)
         dm = build_distance_matrix(
             sdf, SpatialKNNConstraint("v", k=k, weight=WeightFunction(n=n, floor=floor))
         )

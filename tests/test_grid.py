@@ -32,6 +32,12 @@ class TestTileSizes:
         lat_deg, lon_deg = grid.tile_sizes_deg(1000.0, 90.0)
         assert lon_deg == 360.0 and lat_deg > 0
 
+    @pytest.mark.parametrize("d,lat", [(1000.0, 0.0), (750.0, 42.0), (165_000.0, 89.0)])
+    def test_lon_tiles_divide_the_globe(self, d, lat):
+        n = grid.lon_tile_count(d, lat)
+        _, lon_deg = grid.tile_sizes_deg(d, lat)
+        assert n >= 1 and lon_deg * n == pytest.approx(360.0)
+
 
 class TestWithTiles:
     def test_adds_integer_tile_columns(self, spark):
@@ -82,7 +88,8 @@ class TestExplodeNeighborhood:
             spark.createDataFrame(rand_points(7, seed=4)),
             d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon",
         )
-        assert grid.explode_neighborhood(df).count() == 7 * 9
+        lon_tiles = grid.lon_tile_count(500.0, 42.0)
+        assert grid.explode_neighborhood(df, lon_tiles=lon_tiles).count() == 7 * 9
 
     def test_offsets_cover_3x3(self, spark):
         df = grid.with_tiles(
@@ -90,8 +97,20 @@ class TestExplodeNeighborhood:
             d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon",
         )
         base = df.select(grid.CELL_X, grid.CELL_Y).first()
+        lon_tiles = grid.lon_tile_count(500.0, 42.0)
         got = {
             (r[grid.CELL_X] - base[grid.CELL_X], r[grid.CELL_Y] - base[grid.CELL_Y])
-            for r in grid.explode_neighborhood(df).collect()
+            for r in grid.explode_neighborhood(df, lon_tiles=lon_tiles).collect()
         }
         assert got == {(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+
+    @pytest.mark.parametrize("lon_tiles", [1, 2])
+    def test_fewer_than_three_lon_tiles_are_each_probed_once(self, spark, lon_tiles):
+        df = grid.with_tiles(
+            spark.createDataFrame(rand_points(7, seed=4)),
+            d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon",
+        )
+        out = grid.explode_neighborhood(df, lon_tiles=lon_tiles).toPandas()
+        assert len(out) == 7 * 3 * lon_tiles
+        assert not out.duplicated(["rid", grid.CELL_X, grid.CELL_Y]).any()
+        assert set(out[grid.CELL_X]) <= set(range(lon_tiles))

@@ -4,11 +4,18 @@ import pandas as pd
 import pytest
 
 from repro.spatial.join import DIST, compute_extent, self_knn_join
-from tests._utils import equirect_np, rand_points
+from tests._utils import (
+    BBOX_ACROSS_180,
+    BBOX_POLAR_CAP,
+    equirect_np,
+    haversine_np,
+    rand_points,
+)
 
 
-def brute_knn(pdf: pd.DataFrame, k: int, ref_lat: float) -> set:
-    dist = equirect_np(pdf, ref_lat)
+def brute_knn(pdf: pd.DataFrame, k: int, ref_lat: float | None = None) -> set:
+    """Each record's k nearest, equirectangular around ``ref_lat`` or haversine."""
+    dist = haversine_np(pdf) if ref_lat is None else equirect_np(pdf, ref_lat)
     np.fill_diagonal(dist, np.inf)
     out = set()
     rids = pdf["rid"].values
@@ -23,7 +30,7 @@ class TestAgainstBruteForce:
     def test_uniform_points(self, spark, k):
         pdf = rand_points(150, seed=30)
         sdf = spark.createDataFrame(pdf)
-        ext = compute_extent(sdf, "lat", "lon")
+        ext = compute_extent(sdf)
         got = self_knn_join(sdf, k=k, value_col="v").toPandas()
         expected = brute_knn(pdf, k, ext.ref_lat)
         assert set(zip(got["r1"], got["r2"])) == expected
@@ -36,7 +43,7 @@ class TestAgainstBruteForce:
         b["rid"] += 1000
         pdf = pd.concat([a, b], ignore_index=True)
         sdf = spark.createDataFrame(pdf)
-        ext = compute_extent(sdf, "lat", "lon")
+        ext = compute_extent(sdf)
         k = 45  # forces every record to reach into the other cluster
         got = self_knn_join(sdf, k=k, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, k, ext.ref_lat)
@@ -46,7 +53,7 @@ class TestAgainstBruteForce:
         outlier = pd.DataFrame({"rid": [999], "lat": [41.99], "lon": [-87.40], "v": ["A"]})
         pdf = pd.concat([pdf, outlier], ignore_index=True)
         sdf = spark.createDataFrame(pdf)
-        ext = compute_extent(sdf, "lat", "lon")
+        ext = compute_extent(sdf)
         got = self_knn_join(sdf, k=3, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, ext.ref_lat)
 
@@ -97,3 +104,15 @@ class TestInvariants:
             for _ in range(2)
         )
         pd.testing.assert_frame_equal(a, b)
+
+
+class TestPolesAndAntimeridian:
+    @pytest.mark.parametrize(
+        "bbox", [BBOX_POLAR_CAP, BBOX_ACROSS_180], ids=["polar-cap", "across-180"]
+    )
+    def test_haversine_matches_brute_force(self, spark, bbox):
+        pdf = rand_points(300, seed=41, bbox=bbox)
+        got = self_knn_join(
+            spark.createDataFrame(pdf), k=5, value_col="v", distance="haversine"
+        ).toPandas()
+        assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 5)

@@ -168,6 +168,15 @@ RANGE = SpatialRangeConstraint("ward", 500.0)
 KNN = SpatialKNNConstraint("ward", k=3)
 
 
+def last_execution_id(spark) -> int:
+    """The id of Spark's latest SQL execution; ids grow by one per execution,
+    while the count the status store keeps is capped."""
+    spark.sparkContext._jsc.sc().listenerBus().waitUntilEmpty()
+    store = spark._jsparkSession.sharedState().statusStore()
+    n = store.executionsCount()
+    return store.executionsList(n - 1, 1).head().executionId() if n else -1
+
+
 class TestInputContract:
     """``sparcle_clean`` rejects input the spatial join cannot place."""
 
@@ -185,6 +194,14 @@ class TestInputContract:
         rows = FIVE[:4] + [r5]
         with pytest.raises(ValueError, match=check):
             sparcle_clean(spark.createDataFrame(rows, SCHEMA), RANGE, corrector="aimnet")
+
+    @pytest.mark.parametrize("column", ["rid", "lat", "lon", "ward"])
+    def test_missing_column_is_named_without_a_spark_job(self, spark, column):
+        df = spark.createDataFrame(FIVE, SCHEMA).drop(column)
+        before = last_execution_id(spark)
+        with pytest.raises(ValueError, match=f"missing column: the input has no '{column}'"):
+            sparcle_clean(df, RANGE, corrector="aimnet")
+        assert last_execution_id(spark) == before
 
     def test_host_baseline_rejects_latitude_out_of_range(self, spark):
         rows = FIVE[:4] + [(5, 91.0, -87.7005, "B")]
@@ -229,17 +246,15 @@ class TestNoStateLeftBehind:
         key = lambda o: sorted(map(tuple, o.repairs.collect()))
         assert key(again) == key(out) == [(5, "B", "A")]
 
-    def test_two_actions_per_call(self, spark):
-        """The contract aggregate and the checkpoint; no diagnostic count."""
+    @pytest.mark.parametrize(
+        "constraint", [RANGE, ExactLocationConstraint("ward")], ids=["range", "exact"]
+    )
+    def test_two_actions_per_call(self, spark, constraint):
+        """The contract aggregate and the checkpoint; no diagnostic count.
+
+        A kNN constraint adds one action per radius-doubling round.
+        """
         df = spark.createDataFrame(FIVE, SCHEMA)
-        bus = spark.sparkContext._jsc.sc().listenerBus()
-        store = spark._jsparkSession.sharedState().statusStore()
-
-        def last_execution_id():  # ids grow by one per execution; the count is capped
-            bus.waitUntilEmpty()
-            n = store.executionsCount()
-            return store.executionsList(n - 1, 1).head().executionId() if n else -1
-
-        before = last_execution_id()
-        sparcle_clean(df, RANGE, corrector="aimnet")
-        assert last_execution_id() - before == 2
+        before = last_execution_id(spark)
+        sparcle_clean(df, constraint, corrector="aimnet")
+        assert last_execution_id(spark) - before == 2

@@ -1,11 +1,20 @@
 """Range self-join against the DuckDB oracle and invariants."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.spatial.join import DIST, compute_extent, self_exact_join, self_range_join
-from tests._utils import equirect_sql, haversine_sql, pairs_set, rand_points
+from tests._utils import (
+    BBOX_ACROSS_180,
+    BBOX_POLAR_CAP,
+    equirect_sql,
+    haversine_np,
+    haversine_sql,
+    pairs_set,
+    rand_points,
+)
 
 
 class TestAgainstOracle:
@@ -13,7 +22,7 @@ class TestAgainstOracle:
     def test_equirect_matches_duckdb(self, spark, d):
         pdf = rand_points(180, seed=10)
         sdf = spark.createDataFrame(pdf)
-        ext = compute_extent(sdf, "lat", "lon")
+        ext = compute_extent(sdf)
         got = self_range_join(sdf, d_m=d, value_col="v", distance="equirect")
         sql = f"""
             SELECT a.rid AS r1, b.rid AS r2, a.v AS v1, b.v AS v2,
@@ -78,20 +87,14 @@ class TestInvariants:
         assert pairs_set(zero) >= {(i, i + 100) for i in range(5)}
 
     def test_custom_column_names(self, spark):
-        pdf = rand_points(40, seed=15).rename(
-            columns={"rid": "id", "lat": "latitude", "lon": "longitude", "v": "ward"}
-        )
-        out = self_range_join(
-            spark.createDataFrame(pdf),
-            d_m=1000.0, id_col="id", lat_col="latitude", lon_col="longitude",
-            value_col="ward",
-        )
+        pdf = rand_points(40, seed=15).rename(columns={"v": "ward"})
+        out = self_range_join(spark.createDataFrame(pdf), d_m=1000.0, value_col="ward")
         assert set(out.columns) == {"r1", "r2", "v1", "v2", DIST}
 
     def test_precomputed_extent_gives_same_result(self, spark):
         pdf = rand_points(80, seed=16)
         sdf = spark.createDataFrame(pdf)
-        ext = compute_extent(sdf, "lat", "lon")
+        ext = compute_extent(sdf)
         a = self_range_join(sdf, d_m=700.0, value_col="v").toPandas()
         b = self_range_join(sdf, d_m=700.0, value_col="v", extent=ext).toPandas()
         assert pairs_set(a) == pairs_set(b)
@@ -128,7 +131,7 @@ class TestExactJoin:
 class TestExtent:
     def test_fields(self, spark):
         pdf = rand_points(50, seed=20)
-        ext = compute_extent(spark.createDataFrame(pdf), "lat", "lon")
+        ext = compute_extent(spark.createDataFrame(pdf))
         assert ext.n == 50
         assert ext.lat_min == pytest.approx(pdf["lat"].min())
         assert ext.lat_max == pytest.approx(pdf["lat"].max())
@@ -139,6 +142,51 @@ class TestExtent:
 
     def test_empty_input(self, spark):
         empty = spark.createDataFrame([], schema="rid long, lat double, lon double, v string")
-        ext = compute_extent(empty, "lat", "lon")
+        ext = compute_extent(empty)
         assert ext.n == 0
         assert self_range_join(empty, d_m=100.0, value_col="v", extent=ext).count() == 0
+
+
+class TestPolesAndAntimeridian:
+    """Where longitude wraps or its degrees shrink to nothing, against brute force."""
+
+    @pytest.mark.parametrize("distance", ["equirect", "haversine"])
+    def test_pair_across_the_antimeridian(self, spark, distance):
+        pdf = pd.DataFrame(
+            {"rid": [0, 1], "lat": [0.0, 0.0], "lon": [179.999, -179.999], "v": ["A", "B"]}
+        )
+        out = self_range_join(
+            spark.createDataFrame(pdf), d_m=1000.0, value_col="v", distance=distance
+        ).toPandas()
+        assert pairs_set(out) == {(0, 1), (1, 0)}
+        assert out[DIST].tolist() == pytest.approx([222.4, 222.4], abs=0.1)
+
+    def test_pair_a_quarter_turn_apart_near_the_pole(self, spark):
+        """At lat 89 a 165 km tile spans ~86° of longitude on the parallel,
+        but the great circle between two records 90.2° apart is 157.5 km:
+        tiles must be sized by the chord, not the parallel's arc."""
+        pdf = pd.DataFrame(
+            {"rid": [0, 1], "lat": [89.0, 89.0], "lon": [89.9, -179.9], "v": ["A", "B"]}
+        )
+        out = self_range_join(
+            spark.createDataFrame(pdf), d_m=165_000.0, value_col="v", distance="haversine"
+        ).toPandas()
+        assert pairs_set(out) == {(0, 1), (1, 0)}
+        assert out[DIST].tolist() == pytest.approx([haversine_np(pdf)[0, 1]] * 2, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "bbox,d",
+        [(BBOX_POLAR_CAP, 2000.0), (BBOX_POLAR_CAP, 20_000.0), (BBOX_ACROSS_180, 1000.0)],
+        ids=["polar-cap", "polar-cap-one-lon-tile", "across-180"],
+    )
+    def test_haversine_matches_brute_force(self, spark, bbox, d):
+        pdf = rand_points(300, seed=21, bbox=bbox)
+        got = self_range_join(
+            spark.createDataFrame(pdf), d_m=d, value_col="v", distance="haversine"
+        ).toPandas()
+        dist = haversine_np(pdf)
+        i, j = np.nonzero((dist < d) & ~np.eye(len(pdf), dtype=bool))
+        assert pairs_set(got) == set(zip(i.tolist(), j.tolist()))
+        assert not got.duplicated(["r1", "r2"]).any()
+        got = got.sort_values(["r1", "r2"])
+        np.testing.assert_allclose(got[DIST], dist[got["r1"], got["r2"]], rtol=1e-9, atol=1e-6)
