@@ -14,12 +14,14 @@ Three phases per erroneous cell:
    below ``MinProb``, and label a cell clean when a single candidate
    remains or the top one exceeds ``MaxProb``.
 
-Everything is DataFrame algebra and runs as one pass per call: phase 1 is
-a single group-by of the cells' neighbor values together with their own
-values, phase 2 a join against the value-frequency table, and phase 3
-two windows that end in one ``kept`` frame. The labels and the candidates
-left for the host corrector are both filters of that frame — no per-row
-Python, no anti-join.
+Everything is DataFrame algebra on the detector's rows, which are
+hash-partitioned by cell: phase 1 is one group-by of each flagged cell's
+neighbour values together with its own value, phase 2 a join against the
+broadcast value-frequency table, and phase 3 windows over the cell. None of
+them moves a row to another partition, and the result is one ``kept``
+frame, which the §5 formatters score and ``hostsys.corrector.argbest``
+ranks on the same partitioning. The labels and the candidates left for the
+host corrector are views of it — no per-row Python, no anti-join.
 """
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,8 +29,9 @@ from typing import Sequence
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.distance_matrix import V2, W
-from repro.spatial.join import ID, R1
+from repro.core.distance_matrix import V1, V2, W
+from repro.core.error_detector import FLAGGED, DetectorResult
+from repro.spatial.join import ID, R1, R2
 
 VALUE = "value"
 WEIGHT = "weight"  # phase-1 sum of weights (|Spatial(v, R)|, or 0.01 default)
@@ -36,6 +39,9 @@ SPATIAL_WEIGHT = "spatial_weight"  # neighbor-only part (0 if own-value-only)
 TOTAL_WEIGHT = "total_weight"  # the cell's summed spatial_weight, before MinProb
 PROB = "prob"
 PROB_NORM = "prob_norm"
+LABELED = "labeled"  # the cell is resolved in phase 3; its label is its top candidate
+#: The candidate columns of a cell, as the formatters and the views read them.
+CANDIDATE_COLUMNS = (ID, VALUE, WEIGHT, SPATIAL_WEIGHT, TOTAL_WEIGHT, PROB, PROB_NORM)
 
 #: Default minimal weight for the cell's own value when no neighbor shares
 #: it (§4.1), and the minimality-principle pseudo-count (§4.2).
@@ -47,11 +53,10 @@ MINIMALITY_PSEUDO_COUNT = 0.1
 class CandidateResult:
     """Output of Algorithm 2: one frame, ``kept``, and two views of it.
 
-    ``kept`` holds every candidate that survives the MinProb cutoff (id,
-    value, weight, spatial_weight, total_weight, prob, prob_norm) with its
-    ``_rank`` in the cell, by prob_norm then value, and the cell's
-    ``_labeled`` flag: one candidate left, or the top one above MaxProb.
-    Callers that read both views cache ``kept`` once, so phases 1–3 run once.
+    ``kept`` holds every candidate that survives the MinProb cutoff, with
+    the :data:`CANDIDATE_COLUMNS`, the cell's own value ``v1`` and the
+    cell's ``labeled`` flag: one candidate left, or the top one (by
+    prob_norm, then value) above MaxProb. It stays partitioned by cell.
     """
 
     kept: DataFrame
@@ -59,13 +64,14 @@ class CandidateResult:
     @property
     def candidates(self) -> DataFrame:
         """Surviving candidates of the cells that are *still* erroneous."""
-        return self.kept.where(~F.col("_labeled")).drop("_rank", "_labeled")
+        return self.kept.where(~F.col(LABELED)).select(*CANDIDATE_COLUMNS)
 
     @property
     def labels(self) -> DataFrame:
         """Cells confidently resolved in phase 3; each label is a final repair."""
-        top = self.kept.where(F.col("_labeled") & (F.col("_rank") == 1))
-        return top.select(ID, F.col(VALUE).alias("label"))
+        order = Window.partitionBy(ID).orderBy(F.col(PROB_NORM).desc(), F.col(VALUE).asc())
+        top = self.kept.where(F.col(LABELED)).withColumn("_rank", F.row_number().over(order))
+        return top.where(F.col("_rank") == 1).select(ID, F.col(VALUE).alias("label"))
 
 
 def value_frequency(df: DataFrame, attribute: str) -> DataFrame:
@@ -79,8 +85,7 @@ def value_frequency(df: DataFrame, attribute: str) -> DataFrame:
 
 def generate_candidates(
     df: DataFrame,
-    dm: DataFrame,
-    error_ids: DataFrame,
+    detected: DetectorResult,
     *,
     attribute: str,
     other_attrs: Sequence[str] = (),
@@ -89,7 +94,7 @@ def generate_candidates(
     freq: DataFrame | None = None,
     total: int | None = None,
 ) -> CandidateResult:
-    """Run all three phases; see module docstring.
+    """Run all three phases over the cells ``detected`` flags; see module docstring.
 
     ``freq``/``total`` default to statistics of ``df`` and are overridable
     so the paper's worked example (Figure 3b: |D| = 1000) is testable
@@ -99,31 +104,31 @@ def generate_candidates(
     total = total if total is not None else df.count()
 
     # ---- Phase 1: weighted nearby co-occurrence --------------------------
-    # One group-by over the neighbor values and the weightless own values:
-    # a value no neighbor shares sums to null, so it takes the default.
-    neighbors = (
-        dm.join(error_ids.select(F.col(ID).alias(R1)), on=R1)
-        .where(F.col(V2).isNotNull())
-        .select(F.col(R1).alias(ID), F.col(V2).alias(VALUE), F.col(W).alias("_w"))
-    )
-    own = (
-        df.join(error_ids, on=ID, how="leftsemi")
-        .where(F.col(attribute).isNotNull())
-        .select(F.col(ID), F.col(attribute).alias(VALUE), F.lit(True).alias("_own"))
-    )
+    # One group-by over each flagged cell's non-null neighbor values and its
+    # weightless own value: a value no neighbor shares sums to null, so it
+    # takes the default.
+    own = F.col(R2) == F.col(R1)
     cands = (
-        neighbors.unionByName(own, allowMissingColumns=True)
-        .groupBy(ID, VALUE)
+        detected.rows.where(
+            F.col(FLAGGED) & F.col(V2).isNotNull() & (F.col(W).isNotNull() | own)
+        )
+        .select(
+            F.col(R1).alias(ID), V1, F.col(V2).alias(VALUE), F.col(W).alias("_w"),
+            own.alias("_own"),
+        )
+        .groupBy(ID, V1, VALUE)
         .agg(
             F.coalesce(F.sum("_w"), F.lit(DEFAULT_OWN_WEIGHT)).alias(WEIGHT),
             F.coalesce(F.sum("_w"), F.lit(0.0)).alias(SPATIAL_WEIGHT),
-            F.max("_own").alias("_own"),  # true, or null without an own row
+            F.max("_own").alias("_own"),  # the value is the cell's own
         )
     )
 
     # ---- Phase 2: spatially-aware Naive Bayes ---------------------------
+    # Count(v, D) is small (one row per distinct value): broadcasting it
+    # keeps the candidates where they are.
     cands = (
-        cands.join(freq.withColumnRenamed("cnt", "_cnt_v"), on=VALUE, how="left")
+        cands.join(F.broadcast(freq.withColumnRenamed("cnt", "_cnt_v")), on=VALUE, how="left")
         # A candidate value always occurs in D (it is a neighbor's or the
         # cell's own value) but guard the join anyway.
         .withColumn("_cnt_v", F.coalesce(F.col("_cnt_v"), F.lit(1)))
@@ -158,17 +163,13 @@ def generate_candidates(
     # A cell whose candidates all weigh 0 has no distribution: its
     # prob_norm is null, and the cutoff drops every candidate.
     cell = Window.partitionBy(ID)
-    order = Window.partitionBy(ID).orderBy(F.col(PROB_NORM).desc(), F.col(VALUE).asc())
     single = F.count(F.lit(1)).over(cell) == 1
     confident = F.max(PROB_NORM).over(cell) > F.lit(float(max_prob))
     kept = (
         cands.withColumn(PROB_NORM, F.try_divide(F.col(PROB), F.sum(PROB).over(cell)))
         .withColumn(TOTAL_WEIGHT, F.sum(SPATIAL_WEIGHT).over(cell))
         .where(F.col(PROB_NORM) >= F.lit(float(min_prob)))
-        .withColumn("_rank", F.row_number().over(order))
-        .withColumn("_labeled", single | confident)
-        .select(
-            ID, VALUE, WEIGHT, SPATIAL_WEIGHT, TOTAL_WEIGHT, PROB, PROB_NORM, "_rank", "_labeled"
-        )
+        .withColumn(LABELED, single | confident)
+        .select(*CANDIDATE_COLUMNS, V1, LABELED)
     )
     return CandidateResult(kept=kept)

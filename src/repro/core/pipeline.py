@@ -6,6 +6,10 @@ formulated input to the requested host corrector:
     DistanceMatrix → error detector → candidate generator → formulator
     → host error corrector → repaired dataset
 
+After the spatial join the detector shuffles the DistanceMatrix once, by
+cell; every later stage runs on that partitioning, so the call's plan has
+no other shuffle than the join's and the small Count(v, D) table's.
+
 ``host_baseline_clean`` runs the *same* pipeline on the classical
 exact-location denial constraint — i.e. the host data cleaning system
 without spatial awareness (the paper's HoloClean competitor and the d=0
@@ -20,7 +24,7 @@ from pyspark.sql import functions as F
 from repro.core import candidate_gen as cg
 from repro.core import formulator
 from repro.core.constraints import Constraint, ExactLocationConstraint
-from repro.core.distance_matrix import build_distance_matrix
+from repro.core.distance_matrix import V1, build_distance_matrix
 from repro.core.error_detector import detect_errors
 from repro.hostsys.corrector import REPAIR, argbest
 from repro.spatial.join import ID, LAT, LON, Extent, extent_aggs, extent_from_row
@@ -36,23 +40,28 @@ CORRECTORS = tuple(_HOSTS)
 
 @dataclass
 class CleanResult:
-    """Output of one cleaning run over one constraint; nothing in it is cached."""
+    """Output of one cleaning run over one constraint.
+
+    ``repairs`` is the one frame the call computes: a local checkpoint of
+    the changed cells, taken from the arg-best row of each flagged cell.
+    ``repaired_df`` reads it, and nothing is cached.
+    """
 
     repaired_df: DataFrame  # input df with the target attribute repaired, read from `repairs`
     repairs: DataFrame  # rid, old_value, new_value (changed cells only), a local checkpoint
     diagnostics: dict = field(default_factory=dict)  # n_records, elapsed_s
 
 
-def _apply_fixes(df: DataFrame, fixes: DataFrame, attribute: str) -> tuple[DataFrame, DataFrame]:
-    """Merge final values into ``df``; return (repaired df, changed cells).
+def _apply_fixes(df: DataFrame, best: DataFrame, attribute: str) -> tuple[DataFrame, DataFrame]:
+    """Merge each cell's final value into ``df``; return (repaired df, changed cells).
 
-    Checkpointing the changed cells runs the plan once; the repaired df reads it.
+    ``best`` is :func:`argbest`'s output, one row per cell with its own
+    value ``v1``, so the changed cells are a filter of it, with no join.
+    Checkpointing them runs the plan once; the repaired df reads it.
     """
-    fixes = fixes.select(F.col(ID), F.col(REPAIR).alias("new_value"))
     changed = (
-        df.join(fixes, on=ID)
-        .where(F.col("new_value").isNotNull() & ~F.col("new_value").eqNullSafe(F.col(attribute)))
-        .select(F.col(ID), F.col(attribute).alias("old_value"), F.col("new_value"))
+        best.where(~F.col(REPAIR).eqNullSafe(F.col(V1)))
+        .select(ID, F.col(V1).alias("old_value"), F.col(REPAIR).alias("new_value"))
         .localCheckpoint()
     )
     repaired = (
@@ -110,8 +119,7 @@ def sparcle_clean(
     constraint the call runs two Spark actions, the input-contract
     aggregate and the checkpoint of the changed cells; a kNN constraint
     adds one per radius-doubling round of
-    :func:`repro.spatial.join.self_knn_join`. The call
-    releases its caches before it returns.
+    :func:`repro.spatial.join.self_knn_join`. The call caches nothing.
 
     Raises ``ValueError`` naming the failed check when ``df`` breaks the
     input contract (see :func:`_checked_extent`).
@@ -123,23 +131,14 @@ def sparcle_clean(
     extent = _checked_extent(df, attribute)
     n_records = extent.n
 
-    # The detector and the candidate generator both scan the DistanceMatrix.
-    dm = build_distance_matrix(df, constraint, extent=extent).cache()
+    # The detector shuffles the DistanceMatrix by cell once; Algorithm 2,
+    # the formatter and the arg-best run on that partitioning.
+    dm = build_distance_matrix(df, constraint, extent=extent)
     detected = detect_errors(df, dm, attribute=attribute)
-    cand = cg.generate_candidates(df, dm, detected.error_ids, attribute=attribute, total=n_records)
-    kept = cand.kept.cache()  # the labels and the corrector both read it
-
+    cand = cg.generate_candidates(df, detected, attribute=attribute, total=n_records)
     formatter, lower_is_better = _HOSTS[corrector]
-    corrected = argbest(formatter(cand.candidates), lower_is_better=lower_is_better)
-    fixes = (
-        cand.labels.select(F.col(ID), F.col("label").alias(REPAIR))
-        .unionByName(corrected.select(F.col(ID), F.col(REPAIR)))
-    )
-    try:  # the checkpoint fills both caches; nothing reads them after it
-        repaired_df, changed = _apply_fixes(df, fixes, attribute)
-    finally:
-        dm.unpersist(blocking=False)
-        kept.unpersist(blocking=False)
+    best = argbest(formatter(cand.kept), lower_is_better=lower_is_better)
+    repaired_df, changed = _apply_fixes(df, best, attribute)
     diagnostics = {"n_records": n_records, "elapsed_s": time.perf_counter() - t0}
     return CleanResult(repaired_df=repaired_df, repairs=changed, diagnostics=diagnostics)
 

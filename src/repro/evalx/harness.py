@@ -253,7 +253,7 @@ def table2(spark: SparkSession) -> pd.DataFrame:
     df, dm, freq = toy_df(spark), toy_dm(spark), toy_freq(spark)
     det = detect_errors(df, dm, attribute="borough")
     res = generate_candidates(
-        df, dm, det.error_ids, attribute="borough", freq=freq, total=TOY_TOTAL,
+        df, det, attribute="borough", freq=freq, total=TOY_TOTAL,
         # Disable phase-3 drops/labels to print the full table first.
         min_prob=0.0, max_prob=1.1,
     )

@@ -12,11 +12,16 @@ MAP inference is the arg-max of the per-candidate factor sums of Figure
 every case ties break toward the higher candidate probability from
 Algorithm 2, then the smaller value for determinism (substitution
 documented in DESIGN.md).
+
+A cell that Algorithm 2 has already labeled keeps its label: the top
+candidate by probability, then value. Both rules are one ranking window
+over the cell, so the labels and the corrected cells come out of one pass
+on the cell partitioning that Algorithm 2 leaves.
 """
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.candidate_gen import PROB_NORM, VALUE
+from repro.core.candidate_gen import LABELED, PROB_NORM, VALUE
 from repro.core.formulator import SCORE
 from repro.spatial.join import ID
 
@@ -24,13 +29,21 @@ REPAIR = "repair"
 
 
 def argbest(scored: DataFrame, *, lower_is_better: bool) -> DataFrame:
-    """Pick, per cell, the best-scored candidate of a formulator's output."""
-    score_order = F.col(SCORE).asc() if lower_is_better else F.col(SCORE).desc()
+    """Per cell, the row of its final value: the label, or the best-scored candidate.
+
+    ``scored`` is a formulator's output over Algorithm 2's kept candidates,
+    with their ``labeled`` flag. The result keeps that row's columns, with
+    ``value`` renamed to ``repair``.
+    """
+    score = F.col(SCORE) if lower_is_better else -F.col(SCORE)
     w = Window.partitionBy(ID).orderBy(
-        score_order, F.col(PROB_NORM).desc(), F.col(VALUE).asc()
+        F.when(F.col(LABELED), F.lit(0.0)).otherwise(score).asc(),
+        F.col(PROB_NORM).desc(),
+        F.col(VALUE).asc(),
     )
     return (
         scored.withColumn("_rank", F.row_number().over(w))
         .where(F.col("_rank") == 1)
-        .select(F.col(ID), F.col(VALUE).alias(REPAIR))
+        .drop("_rank")
+        .withColumnRenamed(VALUE, REPAIR)
     )

@@ -39,8 +39,9 @@ class Extent:
     n: int
     lat_min: float
     lat_max: float
-    lon_min: float
-    lon_max: float
+    #: Degrees of longitude the records span, the short way round: an
+    #: extent across ±180° spans the gap through 180°, not through 0°.
+    lon_span: float
 
     @property
     def ref_lat(self) -> float:
@@ -52,7 +53,7 @@ class Extent:
 
     @property
     def width_m(self) -> float:
-        return (self.lon_max - self.lon_min) * meters_per_degree_lon(self.ref_lat)
+        return self.lon_span * meters_per_degree_lon(self.ref_lat)
 
     @property
     def height_m(self) -> float:
@@ -68,21 +69,30 @@ class Extent:
 
 
 def extent_aggs() -> list[Column]:
-    """The aggregates :func:`extent_from_row` reads, for one ``df.agg`` pass."""
+    """The aggregates :func:`extent_from_row` reads, for one ``df.agg`` pass.
+
+    Longitude is spanned twice, on [−180, 180] and on [0, 360). Both spans
+    cover every record; the first leaves out the gap at ±180°, the second
+    the gap at 0°, so records that straddle ±180° take the second.
+    """
+    lon360 = F.pmod(F.col(LON), F.lit(360.0))
     return [
         F.count(F.lit(1)).alias("n"),
         F.min(LAT).alias("lat_min"),
         F.max(LAT).alias("lat_max"),
         F.min(LON).alias("lon_min"),
         F.max(LON).alias("lon_max"),
+        F.min(lon360).alias("lon360_min"),
+        F.max(lon360).alias("lon360_max"),
     ]
 
 
 def extent_from_row(row: Row) -> Extent:
     """The :class:`Extent` of an aggregated row; empty input gets a zero box."""
     if row["n"] == 0:
-        return Extent(0, 0.0, 0.0, 0.0, 0.0)
-    return Extent(row["n"], row["lat_min"], row["lat_max"], row["lon_min"], row["lon_max"])
+        return Extent(0, 0.0, 0.0, 0.0)
+    lon_span = min(row["lon_max"] - row["lon_min"], row["lon360_max"] - row["lon360_min"])
+    return Extent(row["n"], row["lat_min"], row["lat_max"], lon_span)
 
 
 def compute_extent(df: DataFrame) -> Extent:

@@ -1,8 +1,8 @@
 """Property tests: Algorithms 1 and 2 + §5 formats + arg-best against a pandas reference.
 
 Each seed builds a random table and DistanceMatrix and runs
-``detect_errors``, and ``generate_candidates`` → formulator → ``argbest``,
-on Spark, then compares the flagged cells, the kept candidates, the labels
+``detect_errors`` → ``generate_candidates`` → formulator → ``argbest`` on
+Spark, then compares the flagged cells, the kept candidates, the labels
 and every host's repairs with the driver-only reference in
 ``tests/_alg2_reference.py``.
 """
@@ -22,12 +22,13 @@ DM_SCHEMA = "r1 long, r2 long, v1 string, v2 string, dist_m double, w double"
 
 
 def random_case(seed: int) -> dict:
-    """A table of 50–300 records, a random DM over it and random error ids.
+    """A table of 50–300 records, a random directed DM over it, and the error
+    ids the reference detector flags on it.
 
     Every value occurs equally often, and weights are drawn partly from a
     few dyadic levels, so ties in ``prob_norm`` occur. The DM has null
     values on both sides and rows at W = 0; some error cells have no DM
-    rows, and some have only candidates of weight 0.
+    rows of their own, and some have only candidates of weight 0.
     """
     g = np.random.default_rng(seed)
     per_value = int(g.integers(8, 50))
@@ -46,12 +47,11 @@ def random_case(seed: int) -> dict:
     dm = dm.drop_duplicates(["r1", "r2"]).reset_index(drop=True)
     dm["v1"] = df["ward"].to_numpy()[dm["r1"]]
     dm["v2"] = df["ward"].to_numpy()[dm["r2"]]
-    no_rows = np.setdiff1d(np.arange(n), dm["r1"].unique())
-    err = np.union1d(g.choice(n, n // 2, replace=False), no_rows[:3])
+    dm = dm[["r1", "r2", "v1", "v2", "dist_m", "w"]]
     return {
         "df": df,
-        "dm": dm[["r1", "r2", "v1", "v2", "dist_m", "w"]],
-        "err": err.astype(np.int64),
+        "dm": dm,
+        "err": np.array(sorted(detected(df, dm, attribute="ward")[0]), dtype=np.int64),
         "other_attrs": ("city",) if seed % 2 else (),
         "min_prob": 0.05 if seed % 3 else 0.3,
         "max_prob": 0.95 if seed % 4 else 0.6,
@@ -68,11 +68,12 @@ def run_reference(case: dict) -> pd.DataFrame:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_spark_matches_reference(spark, seed):
     case = random_case(seed)
+    df = spark.createDataFrame(case["df"])
+    det = detect_errors(
+        df, spark.createDataFrame(case["dm"], schema=DM_SCHEMA), attribute="ward"
+    )
     res = generate_candidates(
-        spark.createDataFrame(case["df"]),
-        spark.createDataFrame(case["dm"], schema=DM_SCHEMA),
-        spark.createDataFrame(pd.DataFrame({"rid": case["err"]})),
-        attribute="ward", other_attrs=case["other_attrs"],
+        df, det, attribute="ward", other_attrs=case["other_attrs"],
         min_prob=case["min_prob"], max_prob=case["max_prob"],
     )
     ref = run_reference(case)
@@ -88,8 +89,8 @@ def test_spark_matches_reference(spark, seed):
     assert got_labels == labels(ref)
 
     for host, (formatter, lower_is_better) in _HOSTS.items():
-        picked = argbest(formatter(res.candidates), lower_is_better=lower_is_better)
-        got_repairs = {**got_labels, **{r.rid: r[REPAIR] for r in picked.collect()}}
+        picked = argbest(formatter(res.kept), lower_is_better=lower_is_better)
+        got_repairs = {r.rid: r[REPAIR] for r in picked.collect()}
         assert got_repairs == repairs(ref, host), host
 
 

@@ -10,16 +10,15 @@ from repro.evalx.toy import MAN, QUE, SIS, TOY_TOTAL, toy_df, toy_dm, toy_freq
 @pytest.fixture(scope="module")
 def toy(spark):
     df, dm, freq = toy_df(spark), toy_dm(spark), toy_freq(spark)
-    det = detect_errors(df, dm, attribute="borough")
-    return df, dm, freq, det.error_ids
+    return df, freq, detect_errors(df, dm, attribute="borough")
 
 
 @pytest.fixture(scope="module")
 def full_state(spark, toy):
     """All candidates with no phase-3 pruning — the full Table 2."""
-    df, dm, freq, err = toy
+    df, freq, det = toy
     res = generate_candidates(
-        df, dm, err, attribute="borough", freq=freq, total=TOY_TOTAL,
+        df, det, attribute="borough", freq=freq, total=TOY_TOTAL,
         min_prob=0.0, max_prob=1.1,
     )
     pdf = res.candidates.toPandas()
@@ -29,9 +28,9 @@ def full_state(spark, toy):
 @pytest.fixture(scope="module")
 def default_state(spark, toy):
     """Defaults MinProb=0.05, MaxProb=0.95 — the paper's §4.3 example."""
-    df, dm, freq, err = toy
+    df, freq, det = toy
     return generate_candidates(
-        df, dm, err, attribute="borough", freq=freq, total=TOY_TOTAL
+        df, det, attribute="borough", freq=freq, total=TOY_TOTAL
     )
 
 
@@ -125,7 +124,8 @@ class TestPhase3Cutoffs:
         assert not labeled & unresolved
 
     def test_labels_and_candidates_reuse_the_cached_kept_frame(self, default_state):
-        """Both views read a cached ``kept``: Algorithm 2 runs once per call."""
+        """Both views are read from ``kept``: once it is cached, neither
+        recomputes Algorithm 2."""
         kept = default_state.kept.cache()
         try:
             for view in (default_state.candidates, default_state.labels):
@@ -141,17 +141,22 @@ class TestPhase3Cutoffs:
         assert counts == {1: 3, 2: 2, 3: 2, 4: 2, 6: 2}
 
     def test_single_candidate_cell_gets_labeled(self, spark):
+        # r3 (B) names r1 as its neighbor, which flags r1; r1's only
+        # candidate is the A it shares with r2. r3 keeps two candidates.
         df = spark.createDataFrame(
-            pd.DataFrame({"rid": [1, 2], "borough": ["A", "A"]})
+            pd.DataFrame({"rid": [1, 2, 3], "borough": ["A", "A", "B"]})
         )
         dm = spark.createDataFrame(
             pd.DataFrame(
-                [(1, 2, "A", "A", 10.0, 0.9), (2, 1, "A", "A", 10.0, 0.9)],
+                [
+                    (1, 2, "A", "A", 10.0, 0.9), (2, 1, "A", "A", 10.0, 0.9),
+                    (3, 1, "B", "A", 10.0, 0.5),
+                ],
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
-        res = generate_candidates(df, dm, err, attribute="borough", max_prob=2.0)
+        det = detect_errors(df, dm, attribute="borough")
+        res = generate_candidates(df, det, attribute="borough", max_prob=2.0)
         labels = {r.rid: r.label for r in res.labels.collect()}
         assert labels == {1: "A"}  # single candidate wins even below MaxProb
 
@@ -167,8 +172,8 @@ class TestNullAndDefaults:
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
-        res = generate_candidates(df, dm, err, attribute="borough", max_prob=2.0)
+        det = detect_errors(df, dm, attribute="borough")
+        res = generate_candidates(df, det, attribute="borough", max_prob=2.0)
         cands = res.candidates.toPandas()
         labeled = res.labels.toPandas()
         got = set(cands["value"]) | set(labeled["label"])
@@ -184,8 +189,8 @@ class TestNullAndDefaults:
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
-        res = generate_candidates(df, dm, err, attribute="borough", max_prob=2.0)
+        det = detect_errors(df, dm, attribute="borough")
+        res = generate_candidates(df, det, attribute="borough", max_prob=2.0)
         vals = set(res.candidates.toPandas()["value"]) | set(
             res.labels.toPandas()["label"]
         )
@@ -199,8 +204,8 @@ class TestNullAndDefaults:
         dm = spark.createDataFrame(
             [], schema="r1 long, r2 long, v1 string, v2 string, dist_m double, w double"
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
-        res = generate_candidates(df, dm, err, attribute="borough")
+        det = detect_errors(df, dm, attribute="borough")
+        res = generate_candidates(df, det, attribute="borough")
         assert res.candidates.count() == 0
         assert res.labels.count() == 0
 
@@ -217,8 +222,8 @@ class TestNullAndDefaults:
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [1, 3]}))
-        res = generate_candidates(df, dm, err, attribute="borough", min_prob=0.0)
+        det = detect_errors(df, dm, attribute="borough")
+        res = generate_candidates(df, det, attribute="borough", min_prob=0.0)
         assert {r.rid for r in res.kept.collect()} == {3}
 
 
@@ -242,8 +247,8 @@ class TestValueFrequency:
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
-        res = generate_candidates(df, dm, err, attribute="b", min_prob=0.0, max_prob=1.1)
+        det = detect_errors(df, dm, attribute="b")
+        res = generate_candidates(df, det, attribute="b", min_prob=0.0, max_prob=1.1)
         pdf = res.candidates.toPandas()
         assert pdf["prob_norm"].sum() == pytest.approx(1.0)
 
@@ -269,9 +274,9 @@ class TestOtherAttributes:
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [5]}))
+        det = detect_errors(df, dm, attribute="ward")
         res = generate_candidates(
-            df, dm, err, attribute="ward", other_attrs=("city",),
+            df, det, attribute="ward", other_attrs=("city",),
             min_prob=0.0, max_prob=1.1,
         )
         return res.candidates.toPandas().set_index("value")
@@ -301,9 +306,9 @@ class TestOtherAttributes:
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [3]}))
+        det = detect_errors(df, dm, attribute="ward")
         res = generate_candidates(
-            df, dm, err, attribute="ward", other_attrs=("city",),
+            df, det, attribute="ward", other_attrs=("city",),
             min_prob=0.0, max_prob=1.1,
         )
         pdf = res.candidates.toPandas().set_index("value")

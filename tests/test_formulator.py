@@ -13,7 +13,7 @@ def toy(spark):
     df, dm, freq = toy_df(spark), toy_dm(spark), toy_freq(spark)
     det = detect_errors(df, dm, attribute="borough")
     res = generate_candidates(
-        df, dm, det.error_ids, attribute="borough", freq=freq, total=TOY_TOTAL,
+        df, det, attribute="borough", freq=freq, total=TOY_TOTAL,
         min_prob=0.0, max_prob=1.1,  # keep all candidates for the vectors
     )
     return dm, res.candidates
@@ -116,9 +116,9 @@ class TestFactorFeatures:
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
+        det = detect_errors(df, dm, attribute="borough")
         cands = generate_candidates(
-            df, dm, err, attribute="borough", min_prob=0.0, max_prob=1.1
+            df, det, attribute="borough", min_prob=0.0, max_prob=1.1
         ).candidates
         s = scores(formulator.factor_features(cands), 1)
         assert s["A"] == pytest.approx(0.5)  # the null row contributes nothing
@@ -139,9 +139,9 @@ class TestFactorFeatures:
                 columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
             )
         )
-        err = spark.createDataFrame(pd.DataFrame({"rid": [1]}))
+        det = detect_errors(df, dm, attribute="borough")
         cands = generate_candidates(
-            df, dm, err, attribute="borough", min_prob=0.0, max_prob=1.1
+            df, det, attribute="borough", min_prob=0.0, max_prob=1.1
         ).candidates
         for features in (
             formulator.factor_features,

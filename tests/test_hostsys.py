@@ -6,7 +6,7 @@ import pytest
 from repro.core import formulator
 from repro.core.candidate_gen import generate_candidates
 from repro.core.error_detector import detect_errors
-from repro.evalx.toy import MAN, TOY_TOTAL, toy_df, toy_dm, toy_freq
+from repro.evalx.toy import MAN, QUE, TOY_TOTAL, toy_df, toy_dm, toy_freq
 from repro.hostsys.baran import baran_clean
 from repro.hostsys.corrector import argbest
 
@@ -15,34 +15,50 @@ def _mk(spark, rows, cols, schema=None):
     return spark.createDataFrame(pd.DataFrame(rows, columns=cols), schema=schema)
 
 
-SCORED_COLS = ["rid", "value", "score", "prob_norm"]
+SCORED_COLS = ["rid", "value", "score", "prob_norm", "labeled"]
 
 
 class TestArgBest:
     def test_argmin_violations(self, spark):
-        scored = _mk(spark, [(1, "A", 0.5, 0.6), (1, "B", 0.2, 0.4)], SCORED_COLS)
+        scored = _mk(spark, [(1, "A", 0.5, 0.6, False), (1, "B", 0.2, 0.4, False)], SCORED_COLS)
         out = argbest(scored, lower_is_better=True).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "B")]
 
     def test_argmax_factors(self, spark):
-        scored = _mk(spark, [(1, "A", -0.5, 0.6), (1, "B", 0.2, 0.4)], SCORED_COLS)
+        scored = _mk(spark, [(1, "A", -0.5, 0.6, False), (1, "B", 0.2, 0.4, False)], SCORED_COLS)
         out = argbest(scored, lower_is_better=False).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "B")]
 
     def test_tie_breaks_by_probability(self, spark):
-        scored = _mk(spark, [(1, "A", 0.3, 0.2), (1, "B", 0.3, 0.8)], SCORED_COLS)
+        scored = _mk(spark, [(1, "A", 0.3, 0.2, False), (1, "B", 0.3, 0.8, False)], SCORED_COLS)
         out = argbest(scored, lower_is_better=True).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "B")]
 
     def test_full_tie_breaks_by_value(self, spark):
-        scored = _mk(spark, [(1, "B", 0.3, 0.5), (1, "A", 0.3, 0.5)], SCORED_COLS)
+        scored = _mk(spark, [(1, "B", 0.3, 0.5, False), (1, "A", 0.3, 0.5, False)], SCORED_COLS)
         out = argbest(scored, lower_is_better=False).collect()
         assert [(r.rid, r.repair) for r in out] == [(1, "A")]
 
     def test_one_repair_per_cell(self, spark):
         scored = _mk(
             spark,
-            [(1, "A", 0.1, 0.5), (1, "B", 0.9, 0.5), (2, "A", 0.9, 0.5), (2, "B", 0.1, 0.5)],
+            [
+                (1, "A", 0.1, 0.5, False), (1, "B", 0.9, 0.5, False),
+                (2, "A", 0.9, 0.5, False), (2, "B", 0.1, 0.5, False),
+            ],
+            SCORED_COLS,
+        )
+        out = argbest(scored, lower_is_better=True).toPandas()
+        assert dict(zip(out["rid"], out["repair"])) == {1: "A", 2: "B"}
+
+    def test_labeled_cell_keeps_its_top_candidate(self, spark):
+        """A labeled cell takes its most probable candidate whatever the score."""
+        scored = _mk(
+            spark,
+            [
+                (1, "A", 0.9, 0.97, True), (1, "B", 0.1, 0.03, True),
+                (2, "A", 0.9, 0.6, False), (2, "B", 0.1, 0.4, False),
+            ],
             SCORED_COLS,
         )
         out = argbest(scored, lower_is_better=True).toPandas()
@@ -54,19 +70,20 @@ class TestToyRepair:
         df, dm, freq = toy_df(spark), toy_dm(spark), toy_freq(spark)
         det = detect_errors(df, dm, attribute="borough")
         res = generate_candidates(
-            df, dm, det.error_ids, attribute="borough", freq=freq, total=TOY_TOTAL
+            df, det, attribute="borough", freq=freq, total=TOY_TOTAL
         )
-        feats = formulator.violation_features(res.candidates)
+        feats = formulator.violation_features(res.kept)
         out = argbest(feats, lower_is_better=True).toPandas()
         assert dict(zip(out["rid"], out["repair"]))[1] == MAN
+        assert dict(zip(out["rid"], out["repair"]))[5] == QUE  # r5's phase-3 label
 
     def test_factor_graph_repairs_r1_to_manhattan(self, spark):
         df, dm, freq = toy_df(spark), toy_dm(spark), toy_freq(spark)
         det = detect_errors(df, dm, attribute="borough")
         res = generate_candidates(
-            df, dm, det.error_ids, attribute="borough", freq=freq, total=TOY_TOTAL
+            df, det, attribute="borough", freq=freq, total=TOY_TOTAL
         )
-        feats = formulator.factor_features(res.candidates)
+        feats = formulator.factor_features(res.kept)
         out = argbest(feats, lower_is_better=False).toPandas()
         assert dict(zip(out["rid"], out["repair"]))[1] == MAN
 

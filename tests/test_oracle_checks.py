@@ -59,7 +59,7 @@ class TestPhase1Oracle:
         df, sdm, freq = toy_df(spark), toy_dm(spark), toy_freq(spark)
         det = detect_errors(df, sdm, attribute="borough")
         res = generate_candidates(
-            df, sdm, det.error_ids, attribute="borough",
+            df, det, attribute="borough",
             freq=freq, total=TOY_TOTAL, min_prob=0.0, max_prob=1.1,
         )
         got = res.candidates.select(
@@ -87,7 +87,7 @@ class TestFormulatorOracle:
         df, sdm, freq = toy_df(spark), toy_dm(spark), toy_freq(spark)
         det = detect_errors(df, sdm, attribute="borough")
         return generate_candidates(
-            df, sdm, det.error_ids, attribute="borough",
+            df, det, attribute="borough",
             freq=freq, total=TOY_TOTAL, min_prob=0.0, max_prob=1.1,
         ).candidates
 

@@ -1,4 +1,6 @@
 """End-to-end Sparcle pipeline vs the exact-location host baseline."""
+import re
+
 import pandas as pd
 import pytest
 
@@ -177,6 +179,18 @@ def last_execution_id(spark) -> int:
     return store.executionsList(n - 1, 1).head().executionId() if n else -1
 
 
+def last_execution_shuffle_keys(spark) -> list[tuple[str, ...]]:
+    """The key columns of every distinct hash shuffle in the latest SQL
+    execution's final physical plan, read from the status store (no job)."""
+    spark.sparkContext._jsc.sc().listenerBus().waitUntilEmpty()
+    store = spark._jsparkSession.sharedState().statusStore()
+    plan = store.executionsList(store.executionsCount() - 1, 1).head().physicalPlanDescription()
+    # One Arguments line per Exchange node; the initial and the final
+    # adaptive plan both list an exchange, with the same expression ids.
+    shuffles = set(re.findall(r"Arguments: hashpartitioning\((.*?), \d+\), ENSURE", plan))
+    return [tuple(re.sub(r"#\d+L?$", "", k) for k in keys.split(", ")) for keys in shuffles]
+
+
 class TestInputContract:
     """``sparcle_clean`` rejects input the spatial join cannot place."""
 
@@ -258,3 +272,19 @@ class TestNoStateLeftBehind:
         before = last_execution_id(spark)
         sparcle_clean(df, constraint, corrector="aimnet")
         assert last_execution_id(spark) - before == 2
+
+    @pytest.mark.parametrize(
+        "constraint", [RANGE, ExactLocationConstraint("ward")], ids=["range", "exact"]
+    )
+    def test_distance_matrix_shuffled_once_by_cell(self, spark, constraint):
+        """After the spatial join, the detector shuffles the DistanceMatrix by
+        cell once; Algorithm 2, the formatter, the arg-best and the changed
+        cells stay on that partitioning, and nothing is re-keyed by value.
+        The one other shuffle is Count(v, D), keyed by the attribute."""
+        df = spark.createDataFrame(FIVE, SCHEMA)
+        sparcle_clean(df, constraint, corrector="aimnet")
+        keys = last_execution_shuffle_keys(spark)
+        assert keys, "no shuffle found in the plan"
+        assert sum(k in {("r1",), ("rid",)} for k in keys) <= 1, keys
+        assert not any("value" in k for k in keys), keys
+        assert sum(k == ("ward",) for k in keys) == 1, keys

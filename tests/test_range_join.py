@@ -190,3 +190,21 @@ class TestPolesAndAntimeridian:
         assert not got.duplicated(["r1", "r2"]).any()
         got = got.sort_values(["r1", "r2"])
         np.testing.assert_allclose(got[DIST], dist[got["r1"], got["r2"]], rtol=1e-9, atol=1e-6)
+
+    def test_extent_across_180_spans_the_short_way(self, spark):
+        """0.1° of longitude at lat 10 is about 10.9 km, not the ~39,400 km
+        from −179.95 east to 179.95, which would size the kNN radius from a
+        density three thousand times too low."""
+        ext = compute_extent(spark.createDataFrame(rand_points(300, seed=21, bbox=BBOX_ACROSS_180)))
+        assert ext.lon_span == pytest.approx(0.1, abs=0.005)
+        assert 10_000 < ext.width_m < 12_000
+
+    def test_polar_cap_extent_keeps_every_longitude(self, spark):
+        """Records all round the pole span nearly 360° either way round, so
+        the extent keeps (almost) the full circle: the larger gap, here the
+        one at 0°, is all it leaves out."""
+        pdf = rand_points(300, seed=21, bbox=BBOX_POLAR_CAP)
+        ext = compute_extent(spark.createDataFrame(pdf))
+        lon360 = pdf["lon"] % 360
+        assert ext.lon_span == pytest.approx(lon360.max() - lon360.min())
+        assert ext.lon_span > 355.0
