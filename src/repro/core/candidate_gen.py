@@ -26,12 +26,12 @@ host corrector are views of it — no per-row Python, no anti-join.
 from dataclasses import dataclass
 from typing import Sequence
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.distance_matrix import V1, V2, W
 from repro.core.error_detector import FLAGGED, DetectorResult
-from repro.spatial.join import ID, R1, R2
+from repro.spatial.join import ID, R1, R2, sql_double, sql_ident
 
 VALUE = "value"
 WEIGHT = "weight"  # phase-1 sum of weights (|Spatial(v, R)|, or 0.01 default)
@@ -64,22 +64,21 @@ class CandidateResult:
     @property
     def candidates(self) -> DataFrame:
         """Surviving candidates of the cells that are *still* erroneous."""
-        return self.kept.where(~F.col(LABELED)).select(*CANDIDATE_COLUMNS)
+        return self.kept.where(f"NOT {LABELED}").selectExpr(*CANDIDATE_COLUMNS)
 
     @property
     def labels(self) -> DataFrame:
         """Cells confidently resolved in phase 3; each label is a final repair."""
-        order = Window.partitionBy(ID).orderBy(F.col(PROB_NORM).desc(), F.col(VALUE).asc())
-        top = self.kept.where(F.col(LABELED)).withColumn("_rank", F.row_number().over(order))
-        return top.where(F.col("_rank") == 1).select(ID, F.col(VALUE).alias("label"))
+        rank = f"row_number() OVER (PARTITION BY {ID} ORDER BY {PROB_NORM} DESC, {VALUE} ASC)"
+        top = self.kept.where(LABELED).selectExpr(ID, VALUE, f"{rank} AS _rank")
+        return top.where("_rank = 1").selectExpr(ID, f"{VALUE} AS label")
 
 
 def value_frequency(df: DataFrame, attribute: str) -> DataFrame:
     """``Count(v, D)`` per non-null value — Figure 3b's statistics table."""
-    return (
-        df.where(F.col(attribute).isNotNull())
-        .groupBy(F.col(attribute).alias(VALUE))
-        .agg(F.count(F.lit(1)).alias("cnt"))
+    a = sql_ident(attribute)
+    return df.where(f"{a} IS NOT NULL").groupBy(F.expr(f"{a} AS {VALUE}")).agg(
+        F.expr("count(1) AS cnt")
     )
 
 
@@ -107,69 +106,59 @@ def generate_candidates(
     # One group-by over each flagged cell's non-null neighbor values and its
     # weightless own value: a value no neighbor shares sums to null, so it
     # takes the default.
-    own = F.col(R2) == F.col(R1)
+    own = f"{R2} = {R1}"
     cands = (
-        detected.rows.where(
-            F.col(FLAGGED) & F.col(V2).isNotNull() & (F.col(W).isNotNull() | own)
-        )
-        .select(
-            F.col(R1).alias(ID), V1, F.col(V2).alias(VALUE), F.col(W).alias("_w"),
-            own.alias("_own"),
-        )
+        detected.rows.where(f"{FLAGGED} AND {V2} IS NOT NULL AND ({W} IS NOT NULL OR {own})")
+        .selectExpr(f"{R1} AS {ID}", V1, f"{V2} AS {VALUE}", f"{W} AS _w", f"{own} AS _own")
         .groupBy(ID, V1, VALUE)
         .agg(
-            F.coalesce(F.sum("_w"), F.lit(DEFAULT_OWN_WEIGHT)).alias(WEIGHT),
-            F.coalesce(F.sum("_w"), F.lit(0.0)).alias(SPATIAL_WEIGHT),
-            F.max("_own").alias("_own"),  # the value is the cell's own
+            F.expr(f"coalesce(sum(_w), {sql_double(DEFAULT_OWN_WEIGHT)}) AS {WEIGHT}"),
+            F.expr(f"coalesce(sum(_w), {sql_double(0.0)}) AS {SPATIAL_WEIGHT}"),
+            F.expr("max(_own) AS _own"),  # the value is the cell's own
         )
     )
 
     # ---- Phase 2: spatially-aware Naive Bayes ---------------------------
     # Count(v, D) is small (one row per distinct value): broadcasting it
-    # keeps the candidates where they are.
-    cands = (
-        cands.join(F.broadcast(freq.withColumnRenamed("cnt", "_cnt_v")), on=VALUE, how="left")
-        # A candidate value always occurs in D (it is a neighbor's or the
-        # cell's own value) but guard the join anyway.
-        .withColumn("_cnt_v", F.coalesce(F.col("_cnt_v"), F.lit(1)))
-    )
+    # keeps the candidates where they are. A candidate value always occurs
+    # in D (it is a neighbor's or the cell's own value), but the join is
+    # guarded anyway: a missing count reads 1.
+    cands = cands.join(F.broadcast(freq.withColumnRenamed("cnt", "_cnt_v")), on=VALUE, how="left")
     # Record-identifier factor: 1 for the original value, 0.1 otherwise
     # (both divided by Count(v, D)) — the minimality bias of §4.2.
-    prob = (F.col(WEIGHT) / F.lit(float(total))) * (
-        F.when(F.col("_own"), F.lit(1.0)).otherwise(F.lit(MINIMALITY_PSEUDO_COUNT))
-        / F.col("_cnt_v")
-    )
+    cnt_v = "coalesce(_cnt_v, 1)"
+    own_factor = f"CASE WHEN _own THEN {sql_double(1.0)} ELSE {sql_double(MINIMALITY_PSEUDO_COUNT)} END"
+    prob = f"({WEIGHT} / {sql_double(total)}) * ({own_factor} / {cnt_v})"
     # Generic non-spatial attributes A': Count((v, R.A'), D) / Count(v, D).
-    for a in other_attrs:
-        coocc = df.where(F.col(attribute).isNotNull()).groupBy(
-            F.col(attribute).alias(VALUE), F.col(a).alias(f"_av_{a}")
-        ).agg(F.count(F.lit(1)).alias(f"_co_{a}"))
+    a = sql_ident(attribute)
+    for i, other in enumerate(other_attrs):
+        o = sql_ident(other)
+        coocc = df.where(f"{a} IS NOT NULL").groupBy(
+            F.expr(f"{a} AS {VALUE}"), F.expr(f"{o} AS _av{i}")
+        ).agg(F.expr(f"count(1) AS _co{i}"))
         cands = (
-            cands.join(
-                df.select(F.col(ID), F.col(a).alias(f"_av_{a}")), on=ID
-            )
-            .join(coocc, on=[VALUE, f"_av_{a}"], how="left")
-            .withColumn(
-                f"_co_{a}",
-                F.coalesce(F.col(f"_co_{a}"), F.lit(MINIMALITY_PSEUDO_COUNT)),
-            )
+            cands.join(df.selectExpr(ID, f"{o} AS _av{i}"), on=ID)
+            .join(coocc, on=[VALUE, f"_av{i}"], how="left")
         )
-        prob = prob * (F.col(f"_co_{a}") / F.col("_cnt_v"))
-    cands = cands.withColumn(PROB, prob)
+        prob = f"{prob} * (coalesce(_co{i}, {sql_double(MINIMALITY_PSEUDO_COUNT)}) / {cnt_v})"
 
     # ---- Phase 3: normalisation, MinProb cutoff, MaxProb labeling -------
     # The total is taken before the cutoff: it is the weight of every
     # non-null neighbor, from which the §5 formulators score candidates.
     # A cell whose candidates all weigh 0 has no distribution: its
     # prob_norm is null, and the cutoff drops every candidate.
-    cell = Window.partitionBy(ID)
-    single = F.count(F.lit(1)).over(cell) == 1
-    confident = F.max(PROB_NORM).over(cell) > F.lit(float(max_prob))
+    cell = f"OVER (PARTITION BY {ID})"
     kept = (
-        cands.withColumn(PROB_NORM, F.try_divide(F.col(PROB), F.sum(PROB).over(cell)))
-        .withColumn(TOTAL_WEIGHT, F.sum(SPATIAL_WEIGHT).over(cell))
-        .where(F.col(PROB_NORM) >= F.lit(float(min_prob)))
-        .withColumn(LABELED, single | confident)
-        .select(*CANDIDATE_COLUMNS, V1, LABELED)
+        cands.selectExpr(ID, V1, VALUE, WEIGHT, SPATIAL_WEIGHT, f"{prob} AS {PROB}")
+        .selectExpr(
+            "*",
+            f"try_divide({PROB}, sum({PROB}) {cell}) AS {PROB_NORM}",
+            f"sum({SPATIAL_WEIGHT}) {cell} AS {TOTAL_WEIGHT}",
+        )
+        .where(f"{PROB_NORM} >= {sql_double(min_prob)}")
+        .selectExpr(
+            *CANDIDATE_COLUMNS, V1,
+            f"count(1) {cell} = 1 OR max({PROB_NORM}) {cell} > {sql_double(max_prob)} AS {LABELED}",
+        )
     )
     return CandidateResult(kept=kept)

@@ -16,8 +16,7 @@ awareness at all").
 """
 from dataclasses import dataclass, field
 
-from pyspark.sql import Column
-from pyspark.sql import functions as F
+from repro.spatial.geo import sql_double
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,19 @@ class WeightFunction:
     #: (substitution documented in DESIGN.md).
     floor: float = 0.0
 
-    def expr(self, dist: Column, d_max: Column) -> Column:
-        """Weight as a column expression; ``d_max`` may vary per row (kNN)."""
+    def expr(self, dist: str, d_max: str) -> str:
+        """Weight as SQL text over ``dist`` and ``d_max``, each a column name
+        or SQL text; ``d_max`` may vary per row (kNN)."""
         if self.n == 0:
-            return F.lit(1.0)
-        base = F.greatest(F.lit(0.0), F.lit(1.0) - dist / d_max)
-        w = base ** F.lit(float(self.n))
+            return sql_double(1.0)
+        base = f"greatest({sql_double(0.0)}, {sql_double(1.0)} - {dist} / {d_max})"
         # Pairs at d_max = 0 (exact duplicates) satisfy the rule maximally.
-        w = F.when(d_max <= F.lit(0.0), F.lit(1.0)).otherwise(w)
+        w = (
+            f"(CASE WHEN {d_max} <= {sql_double(0.0)} THEN {sql_double(1.0)}"
+            f" ELSE pow({base}, {sql_double(self.n)}) END)"
+        )
         if self.floor > 0:
-            return F.greatest(w, F.lit(float(self.floor)))
+            return f"greatest({w}, {sql_double(self.floor)})"
         return w
 
 

@@ -9,8 +9,7 @@ weight under ``W``. It is one self-join that carries ``A`` on both sides
 are cheap scans/joins of this table, which is why the paper materialises it
 once per constraint.
 """
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.constraints import (
     Constraint,
@@ -18,7 +17,7 @@ from repro.core.constraints import (
     SpatialRangeConstraint,
 )
 from repro.spatial.join import (
-    DIST, R1, R2, V1, V2, Extent, self_exact_join, self_knn_join, self_range_join,
+    DIST, R1, R2, V1, V2, Extent, self_exact_join, self_knn_join, self_range_join, sql_double,
 )
 
 W = "w"
@@ -36,21 +35,20 @@ def build_distance_matrix(
         # d=0 degenerates to the exact-equality constraint (§6.1).
         isinstance(constraint, SpatialRangeConstraint) and constraint.d_m == 0
     ):
-        return self_exact_join(df, value_col=constraint.attribute).withColumn(W, F.lit(1.0))
+        return self_exact_join(df, value_col=constraint.attribute).selectExpr(
+            "*", f"{sql_double(1.0)} AS {W}"
+        )
     if isinstance(constraint, SpatialRangeConstraint):
         pairs = self_range_join(
             df, d_m=constraint.d_m, value_col=constraint.attribute,
             distance=constraint.distance, extent=extent,
         )
-        return pairs.withColumn(
-            W, constraint.weight.expr(F.col(DIST), F.lit(float(constraint.d_m)))
-        )
+        return pairs.selectExpr("*", f"{constraint.weight.expr(DIST, sql_double(constraint.d_m))} AS {W}")
     pairs = self_knn_join(
         df, k=constraint.k, value_col=constraint.attribute, distance=constraint.distance,
         extent=extent,
     )
     # The paper sets d to the k-th neighbor distance of each r1 (§6).
-    pairs = pairs.withColumn("_d_max", F.max(DIST).over(Window.partitionBy(R1)))
-    return pairs.withColumn(
-        W, constraint.weight.expr(F.col(DIST), F.col("_d_max"))
-    ).drop("_d_max")
+    return pairs.selectExpr("*", f"max({DIST}) OVER (PARTITION BY {R1}) AS _d_max").selectExpr(
+        R1, R2, V1, V2, DIST, f"{constraint.weight.expr(DIST, '_d_max')} AS {W}"
+    )

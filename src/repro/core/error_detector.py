@@ -10,18 +10,18 @@ The detector shuffles the DistanceMatrix once, by ``r1``, and decides each
 cell from its own rows, so everything after it (Algorithm 2, the §5
 formats and the arg-best) runs on the same partitioning. The rows of a
 cell are its DistanceMatrix rows, its own row (``r2 = r1``, ``v2 = v1``,
-which makes a cell without neighbours present too), and a weightless copy
-of every violation seen from the other end, so the ``r1`` side of a
-directed (kNN) DistanceMatrix is complete as well. ``v1`` is the cell's
-own value on every one of its rows.
+which makes a cell without neighbours present too), and, for a directed
+(kNN) DistanceMatrix, a weightless copy of every violation seen from the
+other end, so that its ``r1`` side is complete as well. A range or exact
+DistanceMatrix holds every pair in both orientations already and gets no
+copies. ``v1`` is the cell's own value on every one of its rows.
 """
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.distance_matrix import V1, V2, W
-from repro.spatial.join import ID, R1, R2
+from repro.spatial.join import ID, R1, R2, sql_ident
 
 FLAGGED = "flagged"
 
@@ -32,14 +32,15 @@ class DetectorResult:
 
     ``rows`` has the columns ``r1, r2, v1, v2, w, flagged``. A null ``w``
     marks a row that is not one of ``r1``'s neighbours: the cell's own row,
-    or a violation copied from the other end.
+    or a violation copied from the other end of a directed DistanceMatrix.
     """
 
     rows: DataFrame
 
     def _ids(self, flagged: bool) -> DataFrame:
-        own = (F.col(R2) == F.col(R1)) & (F.col(FLAGGED) == F.lit(flagged))
-        return self.rows.where(own).select(F.col(R1).alias(ID))
+        return self.rows.where(f"{R2} = {R1} AND {FLAGGED} = {str(flagged).lower()}").selectExpr(
+            f"{R1} AS {ID}"
+        )
 
     @property
     def error_ids(self) -> DataFrame:
@@ -52,29 +53,36 @@ class DetectorResult:
         return self._ids(False)
 
 
-def detect_errors(df: DataFrame, dm: DataFrame, *, attribute: str) -> DetectorResult:
-    """Algorithm 1 over DistanceMatrix ``dm`` plus the null detector."""
+def detect_errors(
+    df: DataFrame, dm: DataFrame, *, attribute: str, directed: bool = True
+) -> DetectorResult:
+    """Algorithm 1 over DistanceMatrix ``dm`` plus the null detector.
+
+    ``directed`` says whether ``dm`` may hold a pair in one orientation
+    only, as a kNN DistanceMatrix does; only then are the violations
+    copied to their other end.
+    """
     # v1 IS DISTINCT FROM v2: nulls conflict with values; two nulls agree
     # (both cells are still caught by the unconditional null check).
-    violation = ~F.col(V1).eqNullSafe(F.col(V2))
-    no_weight = F.lit(None).cast("double").alias(W)
-    # Each row, plus each violation seen from r2, in one scan of ``dm``: a
-    # union of two selects would evaluate the spatial join under it twice.
-    ends = F.array(
-        F.struct(R1, R2, V1, V2, W),
-        F.when(violation, F.struct(
-            F.col(R2).alias(R1), F.col(R1).alias(R2), F.col(V2).alias(V1), F.col(V1).alias(V2),
-            no_weight,
-        )),
+    violation = f"NOT ({V1} <=> {V2})"
+    no_weight = "CAST(NULL AS DOUBLE)"
+    if directed:
+        # Each row, plus each violation seen from r2, in one scan of ``dm``:
+        # a union of two selects would evaluate the spatial join under it twice.
+        ends = (
+            f"array(named_struct('{R1}', {R1}, '{R2}', {R2}, '{V1}', {V1}, '{V2}', {V2}, '{W}', {W}),"
+            f" CASE WHEN {violation} THEN named_struct('{R1}', {R2}, '{R2}', {R1},"
+            f" '{V1}', {V2}, '{V2}', {V1}, '{W}', {no_weight}) END)"
+        )
+        pairs = (
+            dm.selectExpr(f"explode({ends}) AS _end").where("_end IS NOT NULL").selectExpr("_end.*")
+        )
+    else:
+        pairs = dm.selectExpr(R1, R2, V1, V2, W)
+    value = sql_ident(attribute)
+    own = df.selectExpr(
+        f"{ID} AS {R1}", f"{ID} AS {R2}", f"{value} AS {V1}", f"{value} AS {V2}",
+        f"{no_weight} AS {W}",
     )
-    pairs = (
-        dm.select(F.explode(ends).alias("_end"))
-        .where(F.col("_end").isNotNull())
-        .select("_end.*")
-    )
-    own = df.select(
-        F.col(ID).alias(R1), F.col(ID).alias(R2),
-        F.col(attribute).alias(V1), F.col(attribute).alias(V2), no_weight,
-    )
-    flagged = F.max(violation).over(Window.partitionBy(R1)) | F.col(V1).isNull()
-    return DetectorResult(rows=pairs.unionByName(own).withColumn(FLAGGED, flagged))
+    flagged = f"(max({violation}) OVER (PARTITION BY {R1}) OR {V1} IS NULL) AS {FLAGGED}"
+    return DetectorResult(rows=pairs.unionByName(own).selectExpr("*", flagged))

@@ -8,7 +8,7 @@ weights (distance weighting) restricted to each cell's neighborhood
 
 Algorithm 2's phase 1 has already summed those weights per (cell, value)
 as ``spatial_weight`` (sw), and per cell as ``total_weight`` (T, the
-weight of every non-null neighbor), so each format is a column
+weight of every non-null neighbor), so each format is one SQL
 expression over the candidates:
 
 - :func:`violation_features` — AimNet (§5.1): per candidate, the *sum of
@@ -28,18 +28,17 @@ missing value can neither satisfy nor violate a dependency instance.
 Each function takes the candidates and returns them with a ``score``
 column added, so the pipeline can pick one by host name.
 """
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.candidate_gen import SPATIAL_WEIGHT, TOTAL_WEIGHT
-from repro.spatial.join import ID
+from repro.spatial.join import ID, sql_double
 
 SCORE = "score"
 
 
 def violation_features(cands: DataFrame) -> DataFrame:
     """AimNet format: the summed weight of the disagreeing neighbors."""
-    return cands.withColumn(SCORE, F.col(TOTAL_WEIGHT) - F.col(SPATIAL_WEIGHT))
+    return cands.selectExpr("*", f"{TOTAL_WEIGHT} - {SPATIAL_WEIGHT} AS {SCORE}")
 
 
 def probability_features(cands: DataFrame) -> DataFrame:
@@ -49,12 +48,13 @@ def probability_features(cands: DataFrame) -> DataFrame:
     only because it is the cell's original value has no proximity
     co-occurrence and scores 0, as in Figure 4(b).
     """
-    denom = F.sum(SPATIAL_WEIGHT).over(Window.partitionBy(ID))
-    return cands.withColumn(
-        SCORE, F.when(denom > 0, F.col(SPATIAL_WEIGHT) / denom).otherwise(F.lit(0.0))
+    denom = f"sum({SPATIAL_WEIGHT}) OVER (PARTITION BY {ID})"
+    return cands.selectExpr(
+        "*",
+        f"CASE WHEN {denom} > 0 THEN {SPATIAL_WEIGHT} / {denom} ELSE {sql_double(0.0)} END AS {SCORE}",
     )
 
 
 def factor_features(cands: DataFrame) -> DataFrame:
     """HoloClean format: agreeing minus disagreeing neighbor weight."""
-    return cands.withColumn(SCORE, 2 * F.col(SPATIAL_WEIGHT) - F.col(TOTAL_WEIGHT))
+    return cands.selectExpr("*", f"2 * {SPATIAL_WEIGHT} - {TOTAL_WEIGHT} AS {SCORE}")

@@ -19,15 +19,14 @@ import time
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core import candidate_gen as cg
 from repro.core import formulator
-from repro.core.constraints import Constraint, ExactLocationConstraint
+from repro.core.constraints import Constraint, ExactLocationConstraint, SpatialKNNConstraint
 from repro.core.distance_matrix import V1, build_distance_matrix
 from repro.core.error_detector import detect_errors
 from repro.hostsys.corrector import REPAIR, argbest
-from repro.spatial.join import ID, LAT, LON, Extent, extent_aggs, extent_from_row
+from repro.spatial.join import ID, LAT, LON, Extent, extent_aggs, extent_from_row, sql_ident
 
 #: Host corrector → (its §5 input formatter, whether a lower score is better).
 _HOSTS = {
@@ -60,14 +59,19 @@ def _apply_fixes(df: DataFrame, best: DataFrame, attribute: str) -> tuple[DataFr
     Checkpointing them runs the plan once; the repaired df reads it.
     """
     changed = (
-        best.where(~F.col(REPAIR).eqNullSafe(F.col(V1)))
-        .select(ID, F.col(V1).alias("old_value"), F.col(REPAIR).alias("new_value"))
+        best.where(f"NOT ({REPAIR} <=> {V1})")
+        .selectExpr(ID, f"{V1} AS old_value", f"{REPAIR} AS new_value")
         .localCheckpoint()
     )
-    repaired = (
-        df.join(changed.select(ID, "new_value"), on=ID, how="left")
-        .withColumn(attribute, F.coalesce(F.col("new_value"), F.col(attribute)))
-        .drop("new_value")
+    # The join puts the id first; the attribute keeps its place among the rest.
+    value = sql_ident(attribute)
+    repaired = df.join(changed.selectExpr(ID, "new_value"), on=ID, how="left").selectExpr(
+        ID,
+        *(
+            f"coalesce(new_value, {value}) AS {value}" if c == attribute else sql_ident(c)
+            for c in df.columns
+            if c != ID
+        ),
     )
     return repaired, changed
 
@@ -84,16 +88,15 @@ def _checked_extent(df: DataFrame, attribute: str) -> Extent:
     for column in (ID, LAT, LON, attribute):
         if column not in df.columns:
             raise ValueError(f"missing column: the input has no {column!r}")
-    lat, lon = F.col(LAT), F.col(LON)
     bad = (
-        lat.isNull() | lon.isNull() | F.isnan(lat) | F.isnan(lon)
-        | (F.abs(lat) > 90) | (F.abs(lon) > 180)
+        f"{LAT} IS NULL OR {LON} IS NULL OR isnan({LAT}) OR isnan({LON})"
+        f" OR abs({LAT}) > 90 OR abs({LON}) > 180"
     )
-    row = df.agg(
+    row = df.selectExpr(
         *extent_aggs(),
-        F.count(F.when(F.col(ID).isNull(), 1)).alias("null_ids"),
-        F.count_distinct(ID).alias("distinct_ids"),
-        F.count(F.when(bad, 1)).alias("bad_coords"),
+        f"count(CASE WHEN {ID} IS NULL THEN 1 END) AS null_ids",
+        f"count(DISTINCT {ID}) AS distinct_ids",
+        f"count(CASE WHEN {bad} THEN 1 END) AS bad_coords",
     ).first()
     if row["null_ids"]:
         raise ValueError(f"null id: {row['null_ids']} record(s) have a null {ID!r}")
@@ -134,7 +137,10 @@ def sparcle_clean(
     # The detector shuffles the DistanceMatrix by cell once; Algorithm 2,
     # the formatter and the arg-best run on that partitioning.
     dm = build_distance_matrix(df, constraint, extent=extent)
-    detected = detect_errors(df, dm, attribute=attribute)
+    # Only a kNN DistanceMatrix may hold a pair in one orientation.
+    detected = detect_errors(
+        df, dm, attribute=attribute, directed=isinstance(constraint, SpatialKNNConstraint)
+    )
     cand = cg.generate_candidates(df, detected, attribute=attribute, total=n_records)
     formatter, lower_is_better = _HOSTS[corrector]
     best = argbest(formatter(cand.kept), lower_is_better=lower_is_better)

@@ -18,12 +18,11 @@ candidate by probability, then value. Both rules are one ranking window
 over the cell, so the labels and the corrected cells come out of one pass
 on the cell partitioning that Algorithm 2 leaves.
 """
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.candidate_gen import LABELED, PROB_NORM, VALUE
 from repro.core.formulator import SCORE
-from repro.spatial.join import ID
+from repro.spatial.join import ID, sql_double
 
 REPAIR = "repair"
 
@@ -35,15 +34,14 @@ def argbest(scored: DataFrame, *, lower_is_better: bool) -> DataFrame:
     with their ``labeled`` flag. The result keeps that row's columns, with
     ``value`` renamed to ``repair``.
     """
-    score = F.col(SCORE) if lower_is_better else -F.col(SCORE)
-    w = Window.partitionBy(ID).orderBy(
-        F.when(F.col(LABELED), F.lit(0.0)).otherwise(score).asc(),
-        F.col(PROB_NORM).desc(),
-        F.col(VALUE).asc(),
+    score = SCORE if lower_is_better else f"-{SCORE}"
+    order = (
+        f"CASE WHEN {LABELED} THEN {sql_double(0.0)} ELSE {score} END ASC,"
+        f" {PROB_NORM} DESC, {VALUE} ASC"
     )
     return (
-        scored.withColumn("_rank", F.row_number().over(w))
-        .where(F.col("_rank") == 1)
+        scored.selectExpr("*", f"row_number() OVER (PARTITION BY {ID} ORDER BY {order}) AS _rank")
+        .where("_rank = 1")
         .drop("_rank")
         .withColumnRenamed(VALUE, REPAIR)
     )

@@ -2,8 +2,8 @@
 
 The paper uses PostGIS as its spatial index (§3.2); this package plays the
 same role on Spark DataFrames — a grid-partitioned equi-join that Catalyst
-executes as an ordinary shuffle join, with distances evaluated as column
-expressions (no Python UDFs). Each self-join returns pairs
+executes as an ordinary shuffle join, with distances evaluated as SQL
+expressions inside Catalyst (no Python UDFs). Each self-join returns pairs
 ``(r1, r2, v1, v2, dist_m)``: it carries the dependent value on both sides,
 so the DistanceMatrix needs no join back to the records.
 """

@@ -1,4 +1,4 @@
-"""Geodesic distance as Spark Column expressions.
+"""Geodesic distance as Spark SQL expression text.
 
 Two distance functions are provided, matching the paper's distance function
 ``F`` (§3.1, Euclidean; road-network distance is out of scope — noted in
@@ -10,13 +10,16 @@ DESIGN.md):
   reference latitude; within a city-sized extent it differs from haversine
   by well under 0.1% and is much cheaper. This is the default ``F``.
 
-Both are pure column expressions so they run inside Catalyst, never in
-Python.
+Each function takes its operands as column names or SQL text and returns
+SQL text, which the caller hands to ``selectExpr``, ``where`` or
+``F.expr``: the distance runs inside Catalyst, never in Python, and
+Python builds it without a py4j round trip to the JVM per operator. Constants
+are written as exact double literals (:func:`sql_double`); every layer's
+SQL text quotes a column name it does not own with :func:`sql_ident`.
+Both helpers live here, at the bottom of the package's imports, and
+``repro.spatial.join`` exports them next to the record schema.
 """
 import math
-
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 #: Mean Earth radius (IUGG), meters.
 EARTH_RADIUS_M = 6_371_008.8
@@ -25,48 +28,63 @@ EARTH_RADIUS_M = 6_371_008.8
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
 
+def sql_double(x: float) -> str:
+    """``x`` as a Spark SQL DOUBLE literal that parses back to the same bits.
+
+    A bare ``0.1`` parses as a DECIMAL, which would round differently, so
+    the literal carries the ``D`` suffix; ``repr`` is the shortest decimal
+    string that round-trips a finite float.
+    """
+    return repr(float(x)) + "D"
+
+
+def sql_ident(name: str) -> str:
+    """``name`` as a backtick-quoted SQL identifier, any backtick doubled.
+
+    Quoted, a name with a dot (``zip.code``) names one column, not a field
+    of a struct column ``zip``.
+    """
+    return "`" + name.replace("`", "``") + "`"
+
+
 def meters_per_degree_lon(ref_lat_deg: float) -> float:
     """Meters spanned by one degree of longitude at ``ref_lat_deg``."""
     return M_PER_DEG_LAT * math.cos(math.radians(ref_lat_deg))
 
 
-def delta_lon(lon1: Column, lon2: Column) -> Column:
+def delta_lon(lon1: str, lon2: str) -> str:
     """``lon2 − lon1`` folded into [−180, 180], the short way round the globe.
 
     A pair on either side of the antimeridian (179.999 and −179.999) is
     0.002° apart, not 359.998°; a difference already in range is returned
     unchanged, bit for bit.
     """
-    d = lon2 - lon1
-    return F.when(d > 180, d - 360).when(d < -180, d + 360).otherwise(d)
+    d = f"({lon2} - {lon1})"
+    return f"(CASE WHEN {d} > 180 THEN {d} - 360 WHEN {d} < -180 THEN {d} + 360 ELSE {d} END)"
 
 
-def haversine_m(lat1: Column, lon1: Column, lat2: Column, lon2: Column) -> Column:
+def haversine_m(lat1: str, lon1: str, lat2: str, lon2: str) -> str:
     """Great-circle distance in meters between two (lat, lon) columns."""
-    rlat1, rlat2 = F.radians(lat1), F.radians(lat2)
-    dlat = F.radians(lat2 - lat1)
-    dlon = F.radians(delta_lon(lon1, lon2))
+    dlat = f"radians({lat2} - {lat1})"
+    dlon = f"radians({delta_lon(lon1, lon2)})"
     a = (
-        F.sin(dlat / 2) ** 2
-        + F.cos(rlat1) * F.cos(rlat2) * F.sin(dlon / 2) ** 2
+        f"pow(sin({dlat} / 2), 2)"
+        f" + cos(radians({lat1})) * cos(radians({lat2})) * pow(sin({dlon} / 2), 2)"
     )
     # asin(sqrt(a)) is stable for the small angles seen at city scale.
-    return 2 * EARTH_RADIUS_M * F.asin(F.sqrt(a))
+    return f"({sql_double(2 * EARTH_RADIUS_M)} * asin(sqrt({a})))"
 
 
-def equirect_m(
-    lat1: Column, lon1: Column, lat2: Column, lon2: Column, ref_lat_deg: float
-) -> Column:
+def equirect_m(lat1: str, lon1: str, lat2: str, lon2: str, ref_lat_deg: float) -> str:
     """Equirectangular-projection distance in meters around ``ref_lat_deg``."""
-    m_lon = meters_per_degree_lon(ref_lat_deg)
-    dx = delta_lon(lon1, lon2) * F.lit(m_lon)
-    dy = (lat2 - lat1) * F.lit(M_PER_DEG_LAT)
-    return F.sqrt(dx * dx + dy * dy)
+    dx = f"({delta_lon(lon1, lon2)} * {sql_double(meters_per_degree_lon(ref_lat_deg))})"
+    dy = f"(({lat2} - {lat1}) * {sql_double(M_PER_DEG_LAT)})"
+    return f"sqrt({dx} * {dx} + {dy} * {dy})"
 
 
 def distance_expr(
-    kind: str, lat1: Column, lon1: Column, lat2: Column, lon2: Column, ref_lat_deg: float
-) -> Column:
+    kind: str, lat1: str, lon1: str, lat2: str, lon2: str, ref_lat_deg: float
+) -> str:
     """Dispatch on the constraint's distance-function name ``F``."""
     if kind == "haversine":
         return haversine_m(lat1, lon1, lat2, lon2)

@@ -15,9 +15,8 @@ either side of the antimeridian are neighbors like any other two.
 import math
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.spatial.geo import EARTH_RADIUS_M, M_PER_DEG_LAT
+from repro.spatial.geo import EARTH_RADIUS_M, M_PER_DEG_LAT, sql_double, sql_ident
 
 #: Safety margin on tile size: the distance filter uses the exact metric
 #: while tiles are sized by the projection, so oversize tiles slightly to
@@ -64,10 +63,12 @@ def with_tiles(
 ) -> DataFrame:
     """Add integer tile coordinates ``(_cx, _cy)`` for radius ``d_m``."""
     lat_deg, lon_deg = tile_sizes_deg(d_m, max_abs_lat_deg)
-    lon_tiles = F.lit(lon_tile_count(d_m, max_abs_lat_deg))
-    return df.withColumn(
-        CELL_X, F.pmod(F.floor(F.col(lon_col) / F.lit(lon_deg)), lon_tiles).cast("long")
-    ).withColumn(CELL_Y, F.floor(F.col(lat_col) / F.lit(lat_deg)).cast("long"))
+    lon_tiles = lon_tile_count(d_m, max_abs_lat_deg)
+    return df.selectExpr(
+        "*",
+        f"CAST(pmod(floor({lon_col} / {sql_double(lon_deg)}), {lon_tiles}) AS BIGINT) AS {CELL_X}",
+        f"CAST(floor({lat_col} / {sql_double(lat_deg)}) AS BIGINT) AS {CELL_Y}",
+    )
 
 
 def explode_neighborhood(df: DataFrame, *, lon_tiles: int) -> DataFrame:
@@ -77,19 +78,14 @@ def explode_neighborhood(df: DataFrame, *, lon_tiles: int) -> DataFrame:
     neighbor tiles against build-side rows keyed by their own tile finds
     every pair within one tile-length, hence every pair within ``d``.
     ``_cx`` wraps modulo ``lon_tiles``; with fewer than 3 longitude tiles
-    each one is probed once, so no pair is found twice.
+    each one is probed once, so no pair is found twice. The nine tiles are
+    one ``inline`` generator over an array of ``(_cx, _cy)`` structs.
     """
     dxs = (-1, 0, 1) if lon_tiles >= 3 else range(lon_tiles)
-    offsets = F.array(
-        *[
-            F.struct(F.lit(dx).alias("dx"), F.lit(dy).alias("dy"))
-            for dx in dxs
-            for dy in (-1, 0, 1)
-        ]
+    tiles = ", ".join(
+        f"named_struct('{CELL_X}', pmod({CELL_X} + {dx}, {lon_tiles}), '{CELL_Y}', {CELL_Y} + {dy})"
+        for dx in dxs
+        for dy in (-1, 0, 1)
     )
-    return (
-        df.withColumn("_off", F.explode(offsets))
-        .withColumn(CELL_X, F.pmod(F.col(CELL_X) + F.col("_off.dx"), F.lit(lon_tiles)))
-        .withColumn(CELL_Y, F.col(CELL_Y) + F.col("_off.dy"))
-        .drop("_off")
-    )
+    rest = [sql_ident(c) for c in df.columns if c not in (CELL_X, CELL_Y)]
+    return df.selectExpr(*rest, f"inline(array({tiles}))")

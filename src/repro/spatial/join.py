@@ -12,13 +12,22 @@ orientations of each pair), kNN output is directed (``r2`` is among
 import math
 from dataclasses import dataclass
 
-from pyspark.sql import Column, DataFrame, Row, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame, Row
 
 from repro.spatial import grid
-from repro.spatial.geo import M_PER_DEG_LAT, distance_expr, meters_per_degree_lon
+from repro.spatial.geo import (
+    M_PER_DEG_LAT,
+    distance_expr,
+    meters_per_degree_lon,
+    sql_double,
+    sql_ident,
+)
 
 #: The input schema every layer reads: a record id and its coordinates.
+#: Every layer builds its plan from SQL text, where these and the pair
+#: columns below appear as they are; a name it does not own (the
+#: dependent attribute) goes through ``sql_ident``, and a float constant
+#: through ``sql_double`` (both defined in ``repro.spatial.geo``).
 ID = "rid"
 LAT = "lat"
 LON = "lon"
@@ -68,22 +77,22 @@ class Extent:
         return max(self.width_m, 1.0) * max(self.height_m, 1.0)
 
 
-def extent_aggs() -> list[Column]:
-    """The aggregates :func:`extent_from_row` reads, for one ``df.agg`` pass.
+def extent_aggs() -> list[str]:
+    """The aggregates :func:`extent_from_row` reads, as SQL for one ``selectExpr``.
 
     Longitude is spanned twice, on [−180, 180] and on [0, 360). Both spans
     cover every record; the first leaves out the gap at ±180°, the second
     the gap at 0°, so records that straddle ±180° take the second.
     """
-    lon360 = F.pmod(F.col(LON), F.lit(360.0))
+    lon360 = f"pmod({LON}, {sql_double(360.0)})"
     return [
-        F.count(F.lit(1)).alias("n"),
-        F.min(LAT).alias("lat_min"),
-        F.max(LAT).alias("lat_max"),
-        F.min(LON).alias("lon_min"),
-        F.max(LON).alias("lon_max"),
-        F.min(lon360).alias("lon360_min"),
-        F.max(lon360).alias("lon360_max"),
+        "count(1) AS n",
+        f"min({LAT}) AS lat_min",
+        f"max({LAT}) AS lat_max",
+        f"min({LON}) AS lon_min",
+        f"max({LON}) AS lon_max",
+        f"min({lon360}) AS lon360_min",
+        f"max({lon360}) AS lon360_max",
     ]
 
 
@@ -97,7 +106,7 @@ def extent_from_row(row: Row) -> Extent:
 
 def compute_extent(df: DataFrame) -> Extent:
     """One aggregation pass for the dataset's bounding box and count."""
-    return extent_from_row(df.agg(*extent_aggs()).first())
+    return extent_from_row(df.selectExpr(*extent_aggs()).first())
 
 
 def _pair_join(
@@ -110,47 +119,25 @@ def _pair_join(
     distance: str,
 ) -> DataFrame:
     """All (left, right) pairs with distinct ids within ``d_m`` meters."""
+    value = sql_ident(value_col)
+    tiles = dict(d_m=d_m, max_abs_lat_deg=extent.max_abs_lat)
     build = grid.with_tiles(
-        right.select(
-            F.col(ID).alias(R2),
-            F.col(LAT).alias("_lat2"),
-            F.col(LON).alias("_lon2"),
-            F.col(value_col).alias(V2),
-        ),
-        d_m=d_m,
-        max_abs_lat_deg=extent.max_abs_lat,
-        lat_col="_lat2",
-        lon_col="_lon2",
+        right.selectExpr(f"{ID} AS {R2}", f"{LAT} AS _lat2", f"{LON} AS _lon2", f"{value} AS {V2}"),
+        lat_col="_lat2", lon_col="_lon2", **tiles,
     )
     probe = grid.explode_neighborhood(
         grid.with_tiles(
-            left.select(
-                F.col(ID).alias(R1),
-                F.col(LAT).alias("_lat1"),
-                F.col(LON).alias("_lon1"),
-                F.col(value_col).alias(V1),
-            ),
-            d_m=d_m,
-            max_abs_lat_deg=extent.max_abs_lat,
-            lat_col="_lat1",
-            lon_col="_lon1",
+            left.selectExpr(f"{ID} AS {R1}", f"{LAT} AS _lat1", f"{LON} AS _lon1", f"{value} AS {V1}"),
+            lat_col="_lat1", lon_col="_lon1", **tiles,
         ),
         lon_tiles=grid.lon_tile_count(d_m, extent.max_abs_lat),
     )
-    dist = distance_expr(
-        distance,
-        F.col("_lat1"),
-        F.col("_lon1"),
-        F.col("_lat2"),
-        F.col("_lon2"),
-        extent.ref_lat,
-    )
+    dist = distance_expr(distance, "_lat1", "_lon1", "_lat2", "_lon2", extent.ref_lat)
     return (
         probe.join(build, on=[grid.CELL_X, grid.CELL_Y])
-        .where(F.col(R1) != F.col(R2))
-        .withColumn(DIST, dist)
-        .where(F.col(DIST) < F.lit(float(d_m)))
-        .select(*PAIR_COLUMNS)
+        .where(f"{R1} != {R2}")
+        .selectExpr(R1, R2, V1, V2, f"{dist} AS {DIST}")
+        .where(f"{DIST} < {sql_double(d_m)}")
     )
 
 
@@ -181,15 +168,14 @@ def self_exact_join(df: DataFrame, *, value_col: str) -> DataFrame:
     co-occurrence exists only where coordinates are duplicated.
     """
     def side(rid: str, v: str) -> DataFrame:
-        return df.select(
-            F.col(ID).alias(rid), F.col(LAT).alias("_lat"),
-            F.col(LON).alias("_lon"), F.col(value_col).alias(v),
+        return df.selectExpr(
+            f"{ID} AS {rid}", f"{LAT} AS _lat", f"{LON} AS _lon", f"{sql_ident(value_col)} AS {v}"
         )
 
     return (
         side(R1, V1).join(side(R2, V2), on=["_lat", "_lon"])
-        .where(F.col(R1) != F.col(R2))
-        .select(R1, R2, V1, V2, F.lit(0.0).alias(DIST))
+        .where(f"{R1} != {R2}")
+        .selectExpr(R1, R2, V1, V2, f"{sql_double(0.0)} AS {DIST}")
     )
 
 
@@ -227,24 +213,20 @@ def self_knn_join(
     radius = max(
         math.sqrt(3.0 * (k + 1) / (math.pi * density)), extent.diagonal_m / 1024, 1.0
     )
-    points = df.select(ID, LAT, LON, value_col)
+    points = df.selectExpr(ID, LAT, LON, sql_ident(value_col))
     cols = dict(extent=extent, value_col=value_col, distance=distance)
     unresolved = points
     resolved_parts: list[DataFrame] = []
     for _ in range(KNN_MAX_ROUNDS):
         pairs = _pair_join(unresolved, points, d_m=radius, **cols)
         exhaustive = radius >= extent.diagonal_m  # radius covers the extent
-        counts = pairs.groupBy(R1).agg(F.count(F.lit(1)).alias("_cnt"))
-        done_ids = (
-            counts.where(F.col("_cnt") >= k) if not exhaustive else counts
-        ).select(R1)
+        counts = pairs.groupBy(R1).count()
+        done_ids = (counts if exhaustive else counts.where(f"`count` >= {k}")).select(R1)
         resolved_parts.append(pairs.join(done_ids, on=R1, how="leftsemi"))
         if exhaustive:
             unresolved = None
             break
-        unresolved = unresolved.join(
-            done_ids.withColumnRenamed(R1, ID), on=ID, how="leftanti"
-        )
+        unresolved = unresolved.join(done_ids.selectExpr(f"{R1} AS {ID}"), on=ID, how="leftanti")
         if unresolved.isEmpty():
             unresolved = None
             break
@@ -256,9 +238,9 @@ def self_knn_join(
     all_pairs = resolved_parts[0]
     for p in resolved_parts[1:]:
         all_pairs = all_pairs.unionByName(p)
-    w = Window.partitionBy(R1).orderBy(F.col(DIST).asc(), F.col(R2).asc())
+    rank = f"row_number() OVER (PARTITION BY {R1} ORDER BY {DIST} ASC, {R2} ASC)"
     return (
-        all_pairs.withColumn("_rank", F.row_number().over(w))
-        .where(F.col("_rank") <= k)
-        .select(*PAIR_COLUMNS)
+        all_pairs.selectExpr(*PAIR_COLUMNS, f"{rank} AS _rank")
+        .where(f"_rank <= {k}")
+        .selectExpr(*PAIR_COLUMNS)
     )

@@ -15,7 +15,7 @@ def _weights(spark, wf: WeightFunction, rows):
     df = spark.createDataFrame(pd.DataFrame(rows, columns=["dist", "dmax"]))
     return [
         r.w
-        for r in df.select(wf.expr(F.col("dist"), F.col("dmax")).alias("w")).collect()
+        for r in df.select(F.expr(wf.expr("dist", "dmax")).alias("w")).collect()
     ]
 
 

@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.core.error_detector import detect_errors
-from repro.evalx.toy import toy_df, toy_dm
+from repro.evalx.toy import TOY_DM, TOY_RECORDS, toy_df, toy_dm
 
 
 def ids(df):
@@ -26,6 +26,15 @@ class TestPaperExample:
     def test_partition_is_disjoint_and_complete(self, result):
         assert set(ids(result.error_ids)) | set(ids(result.clean_ids)) == set(range(1, 8))
         assert not set(ids(result.error_ids)) & set(ids(result.clean_ids))
+
+    def test_symmetric_distance_matrix_flags_the_same_cells_without_copies(self, spark, result):
+        """Figure 3c holds every pair both ways, so the reversed copies add nothing."""
+        undirected = detect_errors(
+            toy_df(spark), toy_dm(spark), attribute="borough", directed=False
+        )
+        assert ids(undirected.error_ids) == ids(result.error_ids)
+        assert ids(undirected.clean_ids) == ids(result.clean_ids)
+        assert undirected.rows.count() == len(TOY_DM) + len(TOY_RECORDS)
 
 
 class TestEdgeCases:

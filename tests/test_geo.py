@@ -12,6 +12,8 @@ from repro.spatial.geo import (
     equirect_m,
     haversine_m,
     meters_per_degree_lon,
+    sql_double,
+    sql_ident,
 )
 
 
@@ -21,9 +23,7 @@ def _eval(spark, rows, expr):
     )
     return [
         r.d
-        for r in df.select(
-            expr(F.col("lat1"), F.col("lon1"), F.col("lat2"), F.col("lon2")).alias("d")
-        ).collect()
+        for r in df.select(F.expr(expr("lat1", "lon1", "lat2", "lon2")).alias("d")).collect()
     ]
 
 
@@ -107,12 +107,27 @@ class TestDispatch:
     @pytest.mark.parametrize("kind", ["haversine", "equirect"])
     def test_known_kinds(self, spark, kind):
         df = spark.createDataFrame(pd.DataFrame({"a": [1.0]}))
-        col = distance_expr(
-            kind, F.lit(41.8), F.lit(-87.7), F.lit(41.9), F.lit(-87.6), 41.85
+        sql = distance_expr(
+            kind, *map(sql_double, (41.8, -87.7, 41.9, -87.6)), 41.85
         )
-        (v,) = [r.d for r in df.select(col.alias("d")).collect()]
+        (v,) = [r.d for r in df.select(F.expr(sql).alias("d")).collect()]
         assert v > 0
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown distance function"):
-            distance_expr("manhattan", F.lit(0), F.lit(0), F.lit(0), F.lit(0), 0.0)
+            distance_expr("manhattan", "0", "0", "0", "0", 0.0)
+
+
+class TestSqlText:
+    @pytest.mark.parametrize("x", [0.1, 1 / 3, 1e-300, 12742017.6, 5e-324])
+    def test_double_literal_round_trips_exactly(self, spark, x):
+        df = spark.sql(f"SELECT {sql_double(x)} AS x")
+        assert df.dtypes == [("x", "double")]
+        (row,) = df.collect()
+        assert row.x == x and repr(row.x) == repr(x)
+
+    @pytest.mark.parametrize("name", ["zip.code", "a`b", "two words"])
+    def test_quoted_identifier_names_one_column(self, spark, name):
+        df = spark.sql(f"SELECT 1 AS {sql_ident(name)}")
+        assert df.columns == [name]
+        assert df.selectExpr(sql_ident(name)).columns == [name]

@@ -2,6 +2,7 @@
 import re
 
 import pandas as pd
+import py4j.clientserver
 import pytest
 
 from repro.core.constraints import (
@@ -10,6 +11,7 @@ from repro.core.constraints import (
     SpatialRangeConstraint,
     WeightFunction,
 )
+from repro.core import pipeline
 from repro.core.pipeline import host_baseline_clean, sparcle_clean
 from repro.evalx.metrics import duplication_split, evaluate_repairs
 from repro.synth_spatial import BBOX_CHICAGO, RegionAttr, spatial_dataset_pdf
@@ -288,3 +290,76 @@ class TestNoStateLeftBehind:
         assert sum(k in {("r1",), ("rid",)} for k in keys) <= 1, keys
         assert not any("value" in k for k in keys), keys
         assert sum(k == ("ward",) for k in keys) == 1, keys
+
+
+class TestDottedAttribute:
+    """A dependent attribute with a dot in its name is one column, not a struct field."""
+
+    ROWS = [(rid, lat, lon, v) for rid, lat, lon, v in FIVE]
+    DOTTED = "rid long, lat double, lon double, `zip.code` string"
+
+    def test_range_repairs_the_minority_value_and_keeps_the_name(self, spark):
+        df = spark.createDataFrame(self.ROWS, self.DOTTED)
+        out = sparcle_clean(df, SpatialRangeConstraint("zip.code", 500.0), corrector="aimnet")
+        assert [(r.rid, r.new_value) for r in out.repairs.collect()] == [(5, "A")]
+        assert out.repaired_df.columns == ["rid", "lat", "lon", "zip.code"]
+        assert {r["zip.code"] for r in out.repaired_df.collect()} == {"A"}
+
+    def test_host_baseline_runs_and_keeps_the_name(self, spark):
+        df = spark.createDataFrame(self.ROWS, self.DOTTED)
+        out = host_baseline_clean(df, "zip.code", corrector="aimnet")
+        assert out.repairs.count() == 0
+        assert out.repaired_df.columns == ["rid", "lat", "lon", "zip.code"]
+
+
+class TestDetectorRows:
+    """The detector copies violations to their other end only for a directed
+    (kNN) DistanceMatrix; range and exact ones hold both orientations."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        calls = []
+
+        def detect(df, dm, **kwargs):
+            result = detect_errors(df, dm, **kwargs)
+            calls.append((dm, result))
+            return result
+
+        detect_errors = pipeline.detect_errors
+        monkeypatch.setattr(pipeline, "detect_errors", detect)
+        return calls
+
+    def test_range_call_ships_each_row_once(self, spark, captured):
+        sparcle_clean(spark.createDataFrame(FIVE, SCHEMA), RANGE, corrector="aimnet")
+        ((dm, detected),) = captured
+        assert detected.rows.count() == dm.count() + len(FIVE)
+
+    def test_knn_call_adds_a_copy_per_violation(self, spark, captured):
+        sparcle_clean(spark.createDataFrame(FIVE, SCHEMA), KNN, corrector="aimnet")
+        ((dm, detected),) = captured
+        violations = dm.where("NOT (v1 <=> v2)").count()
+        assert violations > 0
+        assert detected.rows.count() == dm.count() + len(FIVE) + violations
+
+
+class TestPy4jRoundTrips:
+    """The plan is built from SQL text, so a call makes a few hundred
+    py4j round trips to the JVM, not one per column, literal and operator."""
+
+    @pytest.mark.parametrize(
+        "constraint", [RANGE, ExactLocationConstraint("ward")], ids=["range", "exact"]
+    )
+    def test_warm_call_stays_under_a_thousand(self, spark, monkeypatch, constraint):
+        df = spark.createDataFrame(FIVE, SCHEMA)
+        sparcle_clean(df, constraint, corrector="aimnet")  # warm-up
+        send = py4j.clientserver.ClientServerConnection.send_command
+        count = [0]
+
+        def counting(self, command):
+            count[0] += 1
+            return send(self, command)
+
+        monkeypatch.setattr(py4j.clientserver.ClientServerConnection, "send_command", counting)
+        sparcle_clean(df, constraint, corrector="aimnet")
+        monkeypatch.undo()
+        assert 0 < count[0] <= 1000, count[0]
