@@ -36,11 +36,12 @@ def lon_tile_count(d_m: float, max_abs_lat_deg: float) -> int:
     as wide as the Δλ that makes this ``d_m`` (padded) therefore leaves no
     in-range pair in two tiles that do not touch. Near a pole, where the
     length of a parallel overstates that distance by up to π/2, no Δλ is
-    wide enough and ``N`` is 1.
+    wide enough and ``N`` is 1. So it is for a ``d_m`` of half the Earth's
+    circumference or more, where the half-angle is clamped at π/2.
     """
     if d_m <= 0:
         raise ValueError(f"tile radius must be positive, got {d_m}")
-    s = math.sin(d_m * _TILE_PAD / (2 * EARTH_RADIUS_M))
+    s = math.sin(min(d_m * _TILE_PAD / (2 * EARTH_RADIUS_M), math.pi / 2))
     c = math.cos(math.radians(max_abs_lat_deg))
     if s >= c:
         return 1

@@ -37,8 +37,6 @@ V1 = "v1"
 V2 = "v2"
 DIST = "dist_m"
 PAIR_COLUMNS = (R1, R2, V1, V2, DIST)
-#: Radius-doubling rounds of the kNN join before it falls back to the extent.
-KNN_MAX_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -189,14 +187,17 @@ def self_knn_join(
 ) -> DataFrame:
     """Directed k-nearest-neighbor pairs ``(r1, r2, v1, v2, dist_m)``.
 
-    Grid range-join at an estimated radius, then iterative radius doubling
-    for the records that found fewer than ``k`` neighbors (at most
-    ``KNN_MAX_ROUNDS`` rounds, then one join over the whole extent); a final
-    ``row_number`` window trims to exactly ``min(k, n-1)`` per ``r1``
-    (ties broken by ``r2`` for determinism). Equivalent to an index-backed
-    kNN self-join, expressed as DataFrame rounds. Every round whose radius
-    is short of the extent runs one Spark action, ``isEmpty`` on the
-    uncached frontier, to decide whether another round is needed.
+    Grid range-join at an estimated radius, then radius doubling for the
+    records not yet resolved. A record is resolved once at least
+    ``need = min(k, n-1)`` other records lie within the round's radius:
+    every record outside it is farther, so its k nearest are among them,
+    whatever the distance. With finite coordinates every distance is
+    finite, so a round whose radius passes the largest one resolves every
+    record. A final ``row_number`` window trims to ``need`` per ``r1``
+    (ties broken by ``r2`` for determinism). Equivalent to an
+    index-backed kNN self-join, expressed as DataFrame rounds. Every round,
+    the last included, runs one Spark action, ``isEmpty`` on the uncached
+    frontier, to decide whether another round is needed.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -213,28 +214,19 @@ def self_knn_join(
     radius = max(
         math.sqrt(3.0 * (k + 1) / (math.pi * density)), extent.diagonal_m / 1024, 1.0
     )
+    need = min(k, extent.n - 1)
     points = df.selectExpr(ID, LAT, LON, sql_ident(value_col))
     cols = dict(extent=extent, value_col=value_col, distance=distance)
     unresolved = points
     resolved_parts: list[DataFrame] = []
-    for _ in range(KNN_MAX_ROUNDS):
+    while True:
         pairs = _pair_join(unresolved, points, d_m=radius, **cols)
-        exhaustive = radius >= extent.diagonal_m  # radius covers the extent
-        counts = pairs.groupBy(R1).count()
-        done_ids = (counts if exhaustive else counts.where(f"`count` >= {k}")).select(R1)
+        done_ids = pairs.groupBy(R1).count().where(f"`count` >= {need}").select(R1)
         resolved_parts.append(pairs.join(done_ids, on=R1, how="leftsemi"))
-        if exhaustive:
-            unresolved = None
-            break
         unresolved = unresolved.join(done_ids.selectExpr(f"{R1} AS {ID}"), on=ID, how="leftanti")
         if unresolved.isEmpty():
-            unresolved = None
             break
-        radius = min(radius * 2.0, extent.diagonal_m)
-    if unresolved is not None:  # KNN_MAX_ROUNDS hit: finish with the full extent
-        resolved_parts.append(
-            _pair_join(unresolved, points, d_m=extent.diagonal_m * 1.01, **cols)
-        )
+        radius *= 2.0
     all_pairs = resolved_parts[0]
     for p in resolved_parts[1:]:
         all_pairs = all_pairs.unionByName(p)

@@ -38,6 +38,16 @@ class TestTileSizes:
         _, lon_deg = grid.tile_sizes_deg(d, lat)
         assert n >= 1 and lon_deg * n == pytest.approx(360.0)
 
+    @pytest.mark.parametrize("d", [20_400_000.0, 39_000_000.0, 41_000_000.0, 1e12])
+    def test_radius_past_half_the_circumference_is_one_tile(self, d):
+        """Past πR the half-angle of the chord clamps at π/2: a sine taken
+        beyond it falls again and would give more tiles, or fewer than none."""
+        assert grid.lon_tile_count(d, 0.0) == 1
+
+    def test_tile_count_never_grows_with_the_radius(self):
+        counts = [grid.lon_tile_count(1000.0 * 1.5**i, 0.0) for i in range(40)]
+        assert counts == sorted(counts, reverse=True) and counts[-1] == 1
+
 
 class TestWithTiles:
     def test_adds_integer_tile_columns(self, spark):

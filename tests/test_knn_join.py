@@ -1,4 +1,6 @@
 """kNN self-join against numpy brute force and invariants."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -116,3 +118,52 @@ class TestPolesAndAntimeridian:
             spark.createDataFrame(pdf), k=5, value_col="v", distance="haversine"
         ).toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 5)
+
+
+class TestStopsOnNeighbourCountAlone:
+    """A record is resolved when ``min(k, n-1)`` others lie within the radius,
+    whatever the extent: a pair as long as the extent's diagonal, or longer
+    under haversine, is still found."""
+
+    @pytest.mark.parametrize(
+        "far", [(41.81, -87.69), (41.80, -87.69)], ids=["diagonal", "east-west"]
+    )
+    def test_two_records_at_the_extent_diagonal(self, spark, far):
+        pdf = pd.DataFrame(
+            {"rid": [0, 1], "lat": [41.80, far[0]], "lon": [-87.70, far[1]], "v": ["A", "B"]}
+        )
+        ref_lat = (pdf["lat"].min() + pdf["lat"].max()) / 2
+        got = self_knn_join(spark.createDataFrame(pdf), k=1, value_col="v").toPandas()
+        assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 1, ref_lat) == {(0, 1), (1, 0)}
+
+    def test_haversine_pair_longer_than_the_equirect_diagonal(self, spark):
+        """(0, 0)–(0, 170) is 18,903 km apart on the sphere; the extent's
+        equirect diagonal is 17,677 km."""
+        pdf = pd.DataFrame(
+            {"rid": [0, 1, 2], "lat": [0.0, 60.0, 0.0], "lon": [0.0, 85.0, 170.0], "v": ["A", "B", "C"]}
+        )
+        got = self_knn_join(
+            spark.createDataFrame(pdf), k=2, value_col="v", distance="haversine"
+        ).toPandas()
+        assert len(got) == 6
+        assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 2)
+
+    #: (lat_min, lon_min, side in degrees): one city block up to 170° wide.
+    EXTENTS = [(41.80, -87.70, 0.001), (41.80, -87.70, 0.1), (30.0, 10.0, 10.0), (-40.0, -85.0, 170.0)]
+
+    def test_seeded_sweep_of_small_inputs(self, spark):
+        """Every n from 2 to 6 with every k from 1 to n + 1, cycling through
+        both distances and the extents; collects every mismatch before failing."""
+        cases = [(n, k) for n in range(2, 7) for k in range(1, n + 2)]
+        settings = itertools.cycle(itertools.product(["equirect", "haversine"], self.EXTENTS))
+        mismatches = []
+        for seed, ((n, k), (distance, (lat0, lon0, side))) in enumerate(zip(cases, settings)):
+            bbox = (lat0, lat0 + min(side, 80.0), lon0, lon0 + side)
+            pdf = rand_points(n, seed=100 + seed, bbox=bbox)
+            ref_lat = None if distance == "haversine" else (pdf["lat"].min() + pdf["lat"].max()) / 2
+            got = self_knn_join(
+                spark.createDataFrame(pdf), k=k, value_col="v", distance=distance
+            ).toPandas()
+            if set(zip(got["r1"], got["r2"])) != brute_knn(pdf, k, ref_lat):
+                mismatches.append((n, k, distance, side))
+        assert not mismatches

@@ -275,6 +275,23 @@ class TestNoStateLeftBehind:
         sparcle_clean(df, constraint, corrector="aimnet")
         assert last_execution_id(spark) - before == 2
 
+    def test_knn_call_adds_one_action_per_round(self, spark, monkeypatch):
+        """Each radius-doubling round, the last included, runs one ``isEmpty``
+        on its frontier; the call runs nothing else besides the two actions."""
+        df = spark.createDataFrame(FIVE, SCHEMA)
+        rounds = []
+        is_empty = type(df).isEmpty  # the concrete (classic) DataFrame class
+
+        def counted(self):
+            rounds.append(self)
+            return is_empty(self)
+
+        monkeypatch.setattr(type(df), "isEmpty", counted)
+        before = last_execution_id(spark)
+        sparcle_clean(df, KNN, corrector="aimnet")
+        assert rounds
+        assert last_execution_id(spark) - before == 2 + len(rounds)
+
     @pytest.mark.parametrize(
         "constraint", [RANGE, ExactLocationConstraint("ward")], ids=["range", "exact"]
     )
@@ -340,6 +357,18 @@ class TestDetectorRows:
         violations = dm.where("NOT (v1 <=> v2)").count()
         assert violations > 0
         assert detected.rows.count() == dm.count() + len(FIVE) + violations
+
+    def test_two_records_are_each_others_nearest(self, spark, captured):
+        """The pair spans the whole extent, diagonal to diagonal: both
+        directed rows reach the DistanceMatrix and both cells are flagged."""
+        rows = [(1, 41.80, -87.70, "A"), (2, 41.81, -87.69, "B")]
+        sparcle_clean(
+            spark.createDataFrame(rows, SCHEMA), SpatialKNNConstraint("ward", k=1),
+            corrector="aimnet",
+        )
+        ((dm, detected),) = captured
+        assert sorted((r.r1, r.r2) for r in dm.collect()) == [(1, 2), (2, 1)]
+        assert sorted(r.rid for r in detected.error_ids.collect()) == [1, 2]
 
 
 class TestPy4jRoundTrips:

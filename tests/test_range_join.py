@@ -191,6 +191,19 @@ class TestPolesAndAntimeridian:
         got = got.sort_values(["r1", "r2"])
         np.testing.assert_allclose(got[DIST], dist[got["r1"], got["r2"]], rtol=1e-9, atol=1e-6)
 
+    @pytest.mark.parametrize("d", [39_000_000.0, 41_000_000.0])
+    def test_radius_past_half_the_circumference_pairs_everything(self, spark, d):
+        """No two records are farther apart than πR ≈ 20,015 km, so a radius
+        past it pairs every record with every other."""
+        pdf = pd.DataFrame(
+            {"rid": [0, 1, 2], "lat": [0.0, 0.0, 0.0], "lon": [0.0, 90.0, 179.0], "v": ["A", "B", "C"]}
+        )
+        out = self_range_join(
+            spark.createDataFrame(pdf), d_m=d, value_col="v", distance="haversine"
+        ).toPandas()
+        assert pairs_set(out) == {(i, j) for i in range(3) for j in range(3) if i != j}
+        assert not out.duplicated(["r1", "r2"]).any()
+
     def test_extent_across_180_spans_the_short_way(self, spark):
         """0.1° of longitude at lat 10 is about 10.9 km, not the ~39,400 km
         from −179.95 east to 179.95, which would size the kNN radius from a
