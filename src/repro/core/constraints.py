@@ -14,6 +14,7 @@ baselines run on it, and it is also what a ``SpatialRange`` with ``d = 0``
 means (paper §6.1: "setting d to 0 is equivalent to not considering spatial
 awareness at all").
 """
+import math
 from dataclasses import dataclass, field
 
 from repro.spatial.geo import sql_double
@@ -36,6 +37,10 @@ class WeightFunction:
     #: d as the k-th neighbor distance, which would zero out that neighbor
     #: (substitution documented in DESIGN.md).
     floor: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.n) and math.isfinite(self.floor)):
+            raise ValueError(f"weight n and floor must be finite, got {self.n}, {self.floor}")
 
     def expr(self, dist: str, d_max: str) -> str:
         """Weight as SQL text over ``dist`` and ``d_max``, each a column name
@@ -63,8 +68,8 @@ class SpatialRangeConstraint:
     distance: str = "equirect"  # the paper's F: 'equirect' or 'haversine'
 
     def __post_init__(self) -> None:
-        if self.d_m < 0:
-            raise ValueError(f"range distance must be >= 0, got {self.d_m}")
+        if not (math.isfinite(self.d_m) and self.d_m >= 0):
+            raise ValueError(f"range distance must be finite and >= 0, got {self.d_m}")
 
 
 @dataclass(frozen=True)

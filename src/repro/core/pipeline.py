@@ -26,7 +26,7 @@ from repro.core.constraints import Constraint, ExactLocationConstraint, SpatialK
 from repro.core.distance_matrix import V1, build_distance_matrix
 from repro.core.error_detector import detect_errors
 from repro.hostsys.corrector import REPAIR, argbest
-from repro.spatial.join import ID, LAT, LON, Extent, extent_aggs, extent_from_row, sql_ident
+from repro.spatial.join import ID, compute_extent, sql_ident
 
 #: Host corrector → (its §5 input formatter, whether a lower score is better).
 _HOSTS = {
@@ -76,42 +76,6 @@ def _apply_fixes(df: DataFrame, best: DataFrame, attribute: str) -> tuple[DataFr
     return repaired, changed
 
 
-def _checked_extent(df: DataFrame, attribute: str) -> Extent:
-    """Check the input contract and return the input's extent, in one pass.
-
-    The input has the columns ``rid``, ``lat``, ``lon`` and ``attribute``
-    (read from the schema, without a Spark job). Ids must be unique and
-    non-null, and coordinates finite and in range: a record the spatial
-    join cannot place would silently drop out of the DistanceMatrix and
-    never be checked.
-    """
-    for column in (ID, LAT, LON, attribute):
-        if column not in df.columns:
-            raise ValueError(f"missing column: the input has no {column!r}")
-    bad = (
-        f"{LAT} IS NULL OR {LON} IS NULL OR isnan({LAT}) OR isnan({LON})"
-        f" OR abs({LAT}) > 90 OR abs({LON}) > 180"
-    )
-    row = df.selectExpr(
-        *extent_aggs(),
-        f"count(CASE WHEN {ID} IS NULL THEN 1 END) AS null_ids",
-        f"count(DISTINCT {ID}) AS distinct_ids",
-        f"count(CASE WHEN {bad} THEN 1 END) AS bad_coords",
-    ).first()
-    if row["null_ids"]:
-        raise ValueError(f"null id: {row['null_ids']} record(s) have a null {ID!r}")
-    if row["distinct_ids"] != row["n"]:
-        raise ValueError(
-            f"duplicate id: {row['n'] - row['distinct_ids']} record(s) repeat an {ID!r}"
-        )
-    if row["bad_coords"]:
-        raise ValueError(
-            f"bad coordinates: {row['bad_coords']} record(s) have a null, NaN or "
-            f"out-of-range {LAT!r}/{LON!r}"
-        )
-    return extent_from_row(row)
-
-
 def sparcle_clean(
     df: DataFrame, constraint: Constraint, *, corrector: str = "holoclean"
 ) -> CleanResult:
@@ -124,14 +88,17 @@ def sparcle_clean(
     adds one per radius-doubling round of
     :func:`repro.spatial.join.self_knn_join`. The call caches nothing.
 
-    Raises ``ValueError`` naming the failed check when ``df`` breaks the
-    input contract (see :func:`_checked_extent`).
+    Raises ``ValueError`` naming the failed check when ``df`` has no
+    attribute column (``missing column``, before any Spark job) or breaks
+    the record contract :func:`repro.spatial.join.compute_extent` checks.
     """
     if corrector not in CORRECTORS:
         raise ValueError(f"corrector must be one of {CORRECTORS}, got {corrector!r}")
     t0 = time.perf_counter()
     attribute = constraint.attribute
-    extent = _checked_extent(df, attribute)
+    if attribute not in df.columns:
+        raise ValueError(f"missing column: the input has no {attribute!r}")
+    extent = compute_extent(df)
     n_records = extent.n
 
     # The detector shuffles the DistanceMatrix by cell once; Algorithm 2,

@@ -16,10 +16,16 @@ SQL text, which the caller hands to ``selectExpr``, ``where`` or
 Python builds it without a py4j round trip to the JVM per operator. Constants
 are written as exact double literals (:func:`sql_double`); every layer's
 SQL text quotes a column name it does not own with :func:`sql_ident`.
-Both helpers live here, at the bottom of the package's imports, and
-``repro.spatial.join`` exports them next to the record schema.
+Both helpers live here, at the bottom of the package's imports, with the
+record schema; ``repro.spatial.join`` exports them all.
 """
 import math
+
+#: The input schema every layer reads, a record id and its coordinates; the
+#: names appear as they are in every layer's SQL text.
+ID = "rid"
+LAT = "lat"
+LON = "lon"
 
 #: Mean Earth radius (IUGG), meters.
 EARTH_RADIUS_M = 6_371_008.8
@@ -33,8 +39,11 @@ def sql_double(x: float) -> str:
 
     A bare ``0.1`` parses as a DECIMAL, which would round differently, so
     the literal carries the ``D`` suffix; ``repr`` is the shortest decimal
-    string that round-trips a finite float.
+    string that round-trips a finite float. An infinite or NaN ``x`` has
+    no literal (``infD`` would name a column) and raises ``ValueError``.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"no SQL double literal for a non-finite value: {x!r}")
     return repr(float(x)) + "D"
 
 

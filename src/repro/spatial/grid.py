@@ -16,7 +16,7 @@ import math
 
 from pyspark.sql import DataFrame
 
-from repro.spatial.geo import EARTH_RADIUS_M, M_PER_DEG_LAT, sql_double, sql_ident
+from repro.spatial.geo import EARTH_RADIUS_M, LAT, LON, M_PER_DEG_LAT, sql_double, sql_ident
 
 #: Safety margin on tile size: the distance filter uses the exact metric
 #: while tiles are sized by the projection, so oversize tiles slightly to
@@ -59,16 +59,14 @@ def tile_sizes_deg(d_m: float, max_abs_lat_deg: float) -> tuple[float, float]:
     return d_m * _TILE_PAD / M_PER_DEG_LAT, 360.0 / lon_tiles
 
 
-def with_tiles(
-    df: DataFrame, *, d_m: float, max_abs_lat_deg: float, lat_col: str, lon_col: str
-) -> DataFrame:
-    """Add integer tile coordinates ``(_cx, _cy)`` for radius ``d_m``."""
+def with_tiles(df: DataFrame, *, d_m: float, max_abs_lat_deg: float) -> DataFrame:
+    """Add integer tile coordinates ``(_cx, _cy)`` of ``(lat, lon)`` for radius ``d_m``."""
     lat_deg, lon_deg = tile_sizes_deg(d_m, max_abs_lat_deg)
     lon_tiles = lon_tile_count(d_m, max_abs_lat_deg)
     return df.selectExpr(
         "*",
-        f"CAST(pmod(floor({lon_col} / {sql_double(lon_deg)}), {lon_tiles}) AS BIGINT) AS {CELL_X}",
-        f"CAST(floor({lat_col} / {sql_double(lat_deg)}) AS BIGINT) AS {CELL_Y}",
+        f"CAST(pmod(floor({LON} / {sql_double(lon_deg)}), {lon_tiles}) AS BIGINT) AS {CELL_X}",
+        f"CAST(floor({LAT} / {sql_double(lat_deg)}) AS BIGINT) AS {CELL_Y}",
     )
 
 

@@ -12,10 +12,13 @@ orientations of each pair), kNN output is directed (``r2`` is among
 import math
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, Row
+from pyspark.sql import DataFrame
 
 from repro.spatial import grid
 from repro.spatial.geo import (
+    ID,
+    LAT,
+    LON,
     M_PER_DEG_LAT,
     distance_expr,
     meters_per_degree_lon,
@@ -23,14 +26,7 @@ from repro.spatial.geo import (
     sql_ident,
 )
 
-#: The input schema every layer reads: a record id and its coordinates.
-#: Every layer builds its plan from SQL text, where these and the pair
-#: columns below appear as they are; a name it does not own (the
-#: dependent attribute) goes through ``sql_ident``, and a float constant
-#: through ``sql_double`` (both defined in ``repro.spatial.geo``).
-ID = "rid"
-LAT = "lat"
-LON = "lon"
+#: The pair columns every self-join returns (the record schema is in ``repro.spatial.geo``).
 R1 = "r1"
 R2 = "r2"
 V1 = "v1"
@@ -72,18 +68,32 @@ class Extent:
 
     @property
     def area_m2(self) -> float:
-        return max(self.width_m, 1.0) * max(self.height_m, 1.0)
+        """Width × height, each side floored at ``diagonal_m / √n`` (1 m at least),
+        so records on one parallel count as a strip as wide as their spacing."""
+        side = max(self.diagonal_m / math.sqrt(max(self.n, 1)), 1.0)
+        return max(self.width_m, side) * max(self.height_m, side)
 
 
-def extent_aggs() -> list[str]:
-    """The aggregates :func:`extent_from_row` reads, as SQL for one ``selectExpr``.
+def compute_extent(df: DataFrame) -> Extent:
+    """Check the record contract; return the input's :class:`Extent`, in one aggregation.
 
-    Longitude is spanned twice, on [−180, 180] and on [0, 360). Both spans
-    cover every record; the first leaves out the gap at ±180°, the second
-    the gap at 0°, so records that straddle ±180° take the second.
+    ``df`` has the columns ``rid``, ``lat``, ``lon`` (read from the schema,
+    with no Spark job), unique non-null ids and finite in-range coordinates,
+    else ``ValueError`` names the failed check: ``missing column``, ``null
+    id``, ``duplicate id`` or ``bad coordinates``. (A record the grid cannot
+    place drops out of a range join and never resolves in a kNN join.)
+    Longitude is spanned on [−180, 180] and on [0, 360); the narrower span
+    leaves out the gap the records do not straddle. Empty input gets a zero box.
     """
+    for column in (ID, LAT, LON):
+        if column not in df.columns:
+            raise ValueError(f"missing column: the input has no {column!r}")
     lon360 = f"pmod({LON}, {sql_double(360.0)})"
-    return [
+    bad = (
+        f"{LAT} IS NULL OR {LON} IS NULL OR isnan({LAT}) OR isnan({LON})"
+        f" OR abs({LAT}) > 90 OR abs({LON}) > 180"
+    )
+    row = df.selectExpr(
         "count(1) AS n",
         f"min({LAT}) AS lat_min",
         f"max({LAT}) AS lat_max",
@@ -91,20 +101,25 @@ def extent_aggs() -> list[str]:
         f"max({LON}) AS lon_max",
         f"min({lon360}) AS lon360_min",
         f"max({lon360}) AS lon360_max",
-    ]
-
-
-def extent_from_row(row: Row) -> Extent:
-    """The :class:`Extent` of an aggregated row; empty input gets a zero box."""
+        f"count(CASE WHEN {ID} IS NULL THEN 1 END) AS null_ids",
+        f"count(DISTINCT {ID}) AS distinct_ids",
+        f"count(CASE WHEN {bad} THEN 1 END) AS bad_coords",
+    ).first()
+    if row["null_ids"]:
+        raise ValueError(f"null id: {row['null_ids']} record(s) have a null {ID!r}")
+    if row["distinct_ids"] != row["n"]:
+        raise ValueError(
+            f"duplicate id: {row['n'] - row['distinct_ids']} record(s) repeat an {ID!r}"
+        )
+    if row["bad_coords"]:
+        raise ValueError(
+            f"bad coordinates: {row['bad_coords']} record(s) have a null, NaN or "
+            f"out-of-range {LAT!r}/{LON!r}"
+        )
     if row["n"] == 0:
         return Extent(0, 0.0, 0.0, 0.0)
     lon_span = min(row["lon_max"] - row["lon_min"], row["lon360_max"] - row["lon360_min"])
     return Extent(row["n"], row["lat_min"], row["lat_max"], lon_span)
-
-
-def compute_extent(df: DataFrame) -> Extent:
-    """One aggregation pass for the dataset's bounding box and count."""
-    return extent_from_row(df.selectExpr(*extent_aggs()).first())
 
 
 def _pair_join(
@@ -119,20 +134,23 @@ def _pair_join(
     """All (left, right) pairs with distinct ids within ``d_m`` meters."""
     value = sql_ident(value_col)
     tiles = dict(d_m=d_m, max_abs_lat_deg=extent.max_abs_lat)
-    build = grid.with_tiles(
-        right.selectExpr(f"{ID} AS {R2}", f"{LAT} AS _lat2", f"{LON} AS _lon2", f"{value} AS {V2}"),
-        lat_col="_lat2", lon_col="_lon2", **tiles,
+    right_tiled = grid.with_tiles(right, **tiles)
+    # Each side is tiled on its own (lat, lon) before its columns are named
+    # apart; a self-join tiles its one input once.
+    left_tiled = right_tiled if left is right else grid.with_tiles(left, **tiles)
+    cells = (grid.CELL_X, grid.CELL_Y)
+    build = right_tiled.selectExpr(
+        f"{ID} AS {R2}", f"{LAT} AS _lat2", f"{LON} AS _lon2", f"{value} AS {V2}", *cells
     )
     probe = grid.explode_neighborhood(
-        grid.with_tiles(
-            left.selectExpr(f"{ID} AS {R1}", f"{LAT} AS _lat1", f"{LON} AS _lon1", f"{value} AS {V1}"),
-            lat_col="_lat1", lon_col="_lon1", **tiles,
+        left_tiled.selectExpr(
+            f"{ID} AS {R1}", f"{LAT} AS _lat1", f"{LON} AS _lon1", f"{value} AS {V1}", *cells
         ),
         lon_tiles=grid.lon_tile_count(d_m, extent.max_abs_lat),
     )
     dist = distance_expr(distance, "_lat1", "_lon1", "_lat2", "_lon2", extent.ref_lat)
     return (
-        probe.join(build, on=[grid.CELL_X, grid.CELL_Y])
+        probe.join(build, on=list(cells))
         .where(f"{R1} != {R2}")
         .selectExpr(R1, R2, V1, V2, f"{dist} AS {DIST}")
         .where(f"{DIST} < {sql_double(d_m)}")
@@ -150,6 +168,7 @@ def self_range_join(
     """Symmetric pairs ``(r1, r2, v1, v2, dist_m)`` with ``dist_m < d_m``, r1 != r2.
 
     Matches the paper's ``SpatialRange`` predicate: strict ``F(r1,r2) < d``.
+    Without an ``extent``, :func:`compute_extent` checks ``df`` and makes one.
     """
     extent = extent or compute_extent(df)
     # Empty input yields no pairs at any tile size; a positive one lets d_m = 0 pass.
@@ -197,7 +216,8 @@ def self_knn_join(
     (ties broken by ``r2`` for determinism). Equivalent to an
     index-backed kNN self-join, expressed as DataFrame rounds. Every round,
     the last included, runs one Spark action, ``isEmpty`` on the uncached
-    frontier, to decide whether another round is needed.
+    frontier, to decide whether another round is needed. Without an
+    ``extent``, :func:`compute_extent` checks ``df`` and makes one.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")

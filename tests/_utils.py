@@ -69,3 +69,47 @@ def pairs_set(df) -> set:
     """Spark or pandas pair frame → {(r1, r2)} set."""
     pdf = df.toPandas() if hasattr(df, "toPandas") else df
     return set(zip(pdf["r1"].astype(int), pdf["r2"].astype(int)))
+
+
+#: Three valid records within 4 m of each other and, per case, a fourth that
+#: breaks the record contract, with the name of the check that rejects it.
+CONTRACT_RECORDS = [
+    (0, 41.80000, -87.70000, "A"), (1, 41.80001, -87.70001, "A"), (2, 41.80002, -87.69999, "B")
+]
+CONTRACT_BREAKS = {
+    "null-lat": ((3, None, -87.70000, "B"), "bad coordinates"),
+    "nan-lon": ((3, 41.80003, float("nan"), "B"), "bad coordinates"),
+    "duplicate-id": ((2, 41.80003, -87.70000, "B"), "duplicate id"),
+}
+
+
+def broken_frame(spark, case: str):
+    """(the records of ``CONTRACT_RECORDS`` plus the break ``case``, its check's name)."""
+    record, check = CONTRACT_BREAKS[case]
+    df = spark.createDataFrame(
+        CONTRACT_RECORDS + [record], "rid long, lat double, lon double, v string"
+    )
+    return df, check
+
+
+#: More rounds than ``self_knn_join`` makes on valid records within 4 m of
+#: each other, such as ``CONTRACT_RECORDS``: its first radius is at least
+#: 1 m and doubles each round, so by the third round it passes 4 m.
+KNN_ROUND_LIMIT = 4
+
+
+def count_knn_rounds(monkeypatch, df, limit: int = KNN_ROUND_LIMIT) -> list:
+    """Record each ``isEmpty`` call, one per ``self_knn_join`` round, in the
+    returned list. The call past ``limit`` raises ``RuntimeError``, so a
+    join that never resolves fails instead of running on."""
+    rounds = []
+    is_empty = type(df).isEmpty  # the concrete (classic) DataFrame class
+
+    def counted(self):
+        rounds.append(self)
+        if len(rounds) > limit:
+            raise RuntimeError(f"self_knn_join did not end within {limit} rounds")
+        return is_empty(self)
+
+    monkeypatch.setattr(type(df), "isEmpty", counted)
+    return rounds

@@ -1,4 +1,6 @@
 """Weight function and constraint validation (§3.1, §6)."""
+import math
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -67,6 +69,17 @@ class TestConstraintValidation:
     def test_range_rejects_negative_d(self):
         with pytest.raises(ValueError, match=">= 0"):
             SpatialRangeConstraint("borough", -1.0)
+
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+    def test_range_rejects_non_finite_d(self, d):
+        with pytest.raises(ValueError, match="finite"):
+            SpatialRangeConstraint("borough", d)
+
+    @pytest.mark.parametrize("field", ["n", "floor"])
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_weight_rejects_non_finite_parameters(self, field, x):
+        with pytest.raises(ValueError, match="finite"):
+            WeightFunction(**{field: x})
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_knn_rejects_nonpositive_k(self, k):

@@ -11,6 +11,7 @@ from repro.core.constraints import (
 )
 from repro.core.distance_matrix import DM_COLUMNS, build_distance_matrix
 from repro.spatial.geo import M_PER_DEG_LAT
+from tests._utils import CONTRACT_BREAKS, broken_frame, count_knn_rounds
 
 
 def line_df(spark, meters_and_values, base_lat=41.85, lon=-87.65):
@@ -129,3 +130,18 @@ class TestUnsupportedConstraint:
         df = line_df(spark, [(0.0, "A")])
         with pytest.raises(TypeError, match="unsupported constraint"):
             build_distance_matrix(df, object())  # type: ignore[arg-type]
+
+
+class TestInputContract:
+    """Called directly, the builder's range and kNN joins check the records."""
+
+    @pytest.mark.parametrize(
+        "constraint", [SpatialRangeConstraint("v", 500.0), SpatialKNNConstraint("v", k=1)],
+        ids=["range", "knn"],
+    )
+    @pytest.mark.parametrize("case", CONTRACT_BREAKS)
+    def test_broken_record_names_the_failed_check(self, spark, monkeypatch, case, constraint):
+        df, check = broken_frame(spark, case)
+        count_knn_rounds(monkeypatch, df)
+        with pytest.raises(ValueError, match=check):
+            build_distance_matrix(df, constraint)

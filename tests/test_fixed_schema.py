@@ -14,8 +14,7 @@ import repro.spatial
 from repro.core.pipeline import host_baseline_clean, sparcle_clean
 
 COLUMN_OPTIONS = {"id_col", "lat_col", "lon_col", "truth_col"}
-#: Tiles the self-join's renamed coordinates, ``_lat1``/``_lon1`` and ``_lat2``/``_lon2``.
-ALLOWED = {"repro.spatial.grid.with_tiles"}
+ALLOWED = set()
 
 
 def _module_names():

@@ -126,6 +126,12 @@ class TestSqlText:
         (row,) = df.collect()
         assert row.x == x and repr(row.x) == repr(x)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_double_has_no_literal(self, x):
+        """``infD`` and ``nanD`` would parse as column names."""
+        with pytest.raises(ValueError, match="non-finite"):
+            sql_double(x)
+
     @pytest.mark.parametrize("name", ["zip.code", "a`b", "two words"])
     def test_quoted_identifier_names_one_column(self, spark, name):
         df = spark.sql(f"SELECT 1 AS {sql_ident(name)}")

@@ -52,9 +52,7 @@ class TestTileSizes:
 class TestWithTiles:
     def test_adds_integer_tile_columns(self, spark):
         df = spark.createDataFrame(rand_points(20, seed=1))
-        out = grid.with_tiles(
-            df, d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon"
-        )
+        out = grid.with_tiles(df, d_m=500.0, max_abs_lat_deg=42.0)
         assert grid.CELL_X in out.columns and grid.CELL_Y in out.columns
         types = dict(out.dtypes)
         assert types[grid.CELL_X] == "bigint" and types[grid.CELL_Y] == "bigint"
@@ -62,8 +60,8 @@ class TestWithTiles:
     def test_same_point_same_tile(self, spark):
         pdf = rand_points(1, seed=2)
         df = spark.createDataFrame(pdf)
-        a = grid.with_tiles(df, d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon")
-        b = grid.with_tiles(df, d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon")
+        a = grid.with_tiles(df, d_m=500.0, max_abs_lat_deg=42.0)
+        b = grid.with_tiles(df, d_m=500.0, max_abs_lat_deg=42.0)
         assert a.collect() == b.collect()
 
     @pytest.mark.parametrize("d", [200.0, 800.0, 3000.0])
@@ -76,8 +74,6 @@ class TestWithTiles:
                 spark.createDataFrame(pdf),
                 d_m=d,
                 max_abs_lat_deg=max(abs(pdf["lat"].min()), abs(pdf["lat"].max())),
-                lat_col="lat",
-                lon_col="lon",
             )
             .select("rid", grid.CELL_X, grid.CELL_Y)
             .toPandas()
@@ -96,7 +92,7 @@ class TestExplodeNeighborhood:
     def test_nine_rows_per_input(self, spark):
         df = grid.with_tiles(
             spark.createDataFrame(rand_points(7, seed=4)),
-            d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon",
+            d_m=500.0, max_abs_lat_deg=42.0,
         )
         lon_tiles = grid.lon_tile_count(500.0, 42.0)
         assert grid.explode_neighborhood(df, lon_tiles=lon_tiles).count() == 7 * 9
@@ -104,7 +100,7 @@ class TestExplodeNeighborhood:
     def test_offsets_cover_3x3(self, spark):
         df = grid.with_tiles(
             spark.createDataFrame(rand_points(1, seed=5)),
-            d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon",
+            d_m=500.0, max_abs_lat_deg=42.0,
         )
         base = df.select(grid.CELL_X, grid.CELL_Y).first()
         lon_tiles = grid.lon_tile_count(500.0, 42.0)
@@ -118,7 +114,7 @@ class TestExplodeNeighborhood:
     def test_fewer_than_three_lon_tiles_are_each_probed_once(self, spark, lon_tiles):
         df = grid.with_tiles(
             spark.createDataFrame(rand_points(7, seed=4)),
-            d_m=500.0, max_abs_lat_deg=42.0, lat_col="lat", lon_col="lon",
+            d_m=500.0, max_abs_lat_deg=42.0,
         )
         out = grid.explode_neighborhood(df, lon_tiles=lon_tiles).toPandas()
         assert len(out) == 7 * 3 * lon_tiles

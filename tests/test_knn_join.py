@@ -9,6 +9,9 @@ from repro.spatial.join import DIST, compute_extent, self_knn_join
 from tests._utils import (
     BBOX_ACROSS_180,
     BBOX_POLAR_CAP,
+    CONTRACT_BREAKS,
+    broken_frame,
+    count_knn_rounds,
     equirect_np,
     haversine_np,
     rand_points,
@@ -136,6 +139,19 @@ class TestStopsOnNeighbourCountAlone:
         got = self_knn_join(spark.createDataFrame(pdf), k=1, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 1, ref_lat) == {(0, 1), (1, 0)}
 
+    def test_east_west_pair_resolves_within_two_rounds(self, spark, monkeypatch):
+        """Two records on one parallel span a line 830 m long. Its area takes
+        a height from their spacing, not 1 m, so the first radius is some
+        680 m, not 28 m, and the second round resolves both."""
+        pdf = pd.DataFrame(
+            {"rid": [0, 1], "lat": [41.80, 41.80], "lon": [-87.70, -87.69], "v": ["A", "B"]}
+        )
+        df = spark.createDataFrame(pdf)
+        rounds = count_knn_rounds(monkeypatch, df)
+        got = self_knn_join(df, k=1, value_col="v").toPandas()
+        assert set(zip(got["r1"], got["r2"])) == {(0, 1), (1, 0)}
+        assert len(rounds) <= 2
+
     def test_haversine_pair_longer_than_the_equirect_diagonal(self, spark):
         """(0, 0)–(0, 170) is 18,903 km apart on the sphere; the extent's
         equirect diagonal is 17,677 km."""
@@ -167,3 +183,15 @@ class TestStopsOnNeighbourCountAlone:
             if set(zip(got["r1"], got["r2"])) != brute_knn(pdf, k, ref_lat):
                 mismatches.append((n, k, distance, side))
         assert not mismatches
+
+
+class TestInputContract:
+    """A direct call checks its records: a record with no usable location
+    would never gain a neighbour and double the radius without end."""
+
+    @pytest.mark.parametrize("case", CONTRACT_BREAKS)
+    def test_broken_record_names_the_failed_check(self, spark, monkeypatch, case):
+        df, check = broken_frame(spark, case)
+        count_knn_rounds(monkeypatch, df)
+        with pytest.raises(ValueError, match=check):
+            self_knn_join(df, k=1, value_col="v")

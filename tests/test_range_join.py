@@ -9,6 +9,8 @@ from repro.spatial.join import DIST, compute_extent, self_exact_join, self_range
 from tests._utils import (
     BBOX_ACROSS_180,
     BBOX_POLAR_CAP,
+    CONTRACT_BREAKS,
+    broken_frame,
     equirect_sql,
     haversine_np,
     haversine_sql,
@@ -221,3 +223,14 @@ class TestPolesAndAntimeridian:
         lon360 = pdf["lon"] % 360
         assert ext.lon_span == pytest.approx(lon360.max() - lon360.min())
         assert ext.lon_span > 355.0
+
+
+class TestInputContract:
+    """A direct call checks its records as ``sparcle_clean`` does: a record
+    the grid cannot place, or a repeated id, raises instead of losing pairs."""
+
+    @pytest.mark.parametrize("case", CONTRACT_BREAKS)
+    def test_broken_record_names_the_failed_check(self, spark, case):
+        df, check = broken_frame(spark, case)
+        with pytest.raises(ValueError, match=check):
+            self_range_join(df, d_m=500.0, value_col="v")
