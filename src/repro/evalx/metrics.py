@@ -30,10 +30,6 @@ class RepairMetrics:
     n_correct_repairs: int
 
 
-def _f1(p: float, r: float) -> float:
-    return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
-
-
 def _final_values(pdf: pd.DataFrame, repairs: pd.DataFrame, attribute: str) -> pd.Series:
     """Observed values with repairs applied (indexed like ``pdf``)."""
     final = pdf[attribute].copy()
@@ -45,23 +41,33 @@ def _final_values(pdf: pd.DataFrame, repairs: pd.DataFrame, attribute: str) -> p
     return final
 
 
-def evaluate_repairs(pdf: pd.DataFrame, repairs: pd.DataFrame, *, attribute: str) -> RepairMetrics:
-    """Score one dependency's cleaning outcome against ``<attribute>__truth``."""
+def _cell_outcome(
+    pdf: pd.DataFrame, repairs: pd.DataFrame, attribute: str
+) -> tuple[pd.Series, pd.Series, pd.Series]:
+    """``(is_error, repaired, final value == truth)`` masks over ``attribute``'s cells."""
     truth = pdf[f"{attribute}__truth"]
     observed = pdf[attribute]
     final = _final_values(pdf, repairs, attribute)
-
     is_error = observed.isna() | (observed != truth)
     repaired = (final != observed) & ~(final.isna() & observed.isna())
-    correct_repair = repaired & (final == truth)
+    return is_error, repaired, final == truth
 
-    n_rep, n_cor, n_err = int(repaired.sum()), int(correct_repair.sum()), int(is_error.sum())
+
+def _scored(is_error: pd.Series, repaired: pd.Series, correct: pd.Series) -> RepairMetrics:
+    """Precision, recall and F1 of the ``correct`` repairs among ``repaired``."""
+    n_rep, n_cor, n_err = int(repaired.sum()), int(correct.sum()), int(is_error.sum())
     p = n_cor / n_rep if n_rep else 0.0
     r = n_cor / n_err if n_err else 0.0
     return RepairMetrics(
-        precision=p, recall=r, f1=_f1(p, r),
+        precision=p, recall=r, f1=2 * p * r / (p + r) if (p + r) > 0 else 0.0,
         n_errors=n_err, n_repairs=n_rep, n_correct_repairs=n_cor,
     )
+
+
+def evaluate_repairs(pdf: pd.DataFrame, repairs: pd.DataFrame, *, attribute: str) -> RepairMetrics:
+    """Score one dependency's cleaning outcome against ``<attribute>__truth``."""
+    is_error, repaired, final_correct = _cell_outcome(pdf, repairs, attribute)
+    return _scored(is_error, repaired, repaired & final_correct)
 
 
 @dataclass(frozen=True)
@@ -80,11 +86,8 @@ def duplication_split(
 ) -> DuplicationSplit:
     """Recall over all errors, errors at duplicated locations of correct
     records, and errors at new locations (the paper's Table 1)."""
-    truth = pdf[f"{attribute}__truth"]
-    observed = pdf[attribute]
-    final = _final_values(pdf, repairs, attribute)
-    is_error = observed.isna() | (observed != truth)
-    fixed = is_error & (final == truth)
+    is_error, _, final_correct = _cell_outcome(pdf, repairs, attribute)
+    fixed = is_error & final_correct
 
     correct_locs = set(
         zip(pdf.loc[~is_error, LAT], pdf.loc[~is_error, LON])
@@ -122,18 +125,8 @@ def overall_record_metrics(
     any_repair = pd.Series(False, index=pdf.index)
     all_correct = pd.Series(True, index=pdf.index)
     for attribute, repairs in repairs_by_attr.items():
-        truth = pdf[f"{attribute}__truth"]
-        observed = pdf[attribute]
-        final = _final_values(pdf, repairs, attribute)
-        any_error |= observed.isna() | (observed != truth)
-        any_repair |= (final != observed) & ~(final.isna() & observed.isna())
-        all_correct &= final == truth
-    n_rep = int(any_repair.sum())
-    n_err = int(any_error.sum())
-    n_cor = int((any_repair & all_correct).sum())
-    p = n_cor / n_rep if n_rep else 0.0
-    r = n_cor / n_err if n_err else 0.0
-    return RepairMetrics(
-        precision=p, recall=r, f1=_f1(p, r),
-        n_errors=n_err, n_repairs=n_rep, n_correct_repairs=n_cor,
-    )
+        is_error, repaired, final_correct = _cell_outcome(pdf, repairs, attribute)
+        any_error |= is_error
+        any_repair |= repaired
+        all_correct &= final_correct
+    return _scored(any_error, any_repair, any_repair & all_correct)

@@ -9,6 +9,7 @@ would project ``a.A, b.A``; range/exact output is symmetric (both
 orientations of each pair), kNN output is directed (``r2`` is among
 ``r1``'s k nearest).
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,7 +132,7 @@ def _pair_join(
     value_col: str,
     distance: str,
 ) -> DataFrame:
-    """All (left, right) pairs with distinct ids within ``d_m`` meters."""
+    """All (left, right) pairs within ``d_m`` meters, self pairs (distance 0) kept."""
     value = sql_ident(value_col)
     tiles = dict(d_m=d_m, max_abs_lat_deg=extent.max_abs_lat)
     right_tiled = grid.with_tiles(right, **tiles)
@@ -151,7 +152,6 @@ def _pair_join(
     dist = distance_expr(distance, "_lat1", "_lon1", "_lat2", "_lon2", extent.ref_lat)
     return (
         probe.join(build, on=list(cells))
-        .where(f"{R1} != {R2}")
         .selectExpr(R1, R2, V1, V2, f"{dist} AS {DIST}")
         .where(f"{DIST} < {sql_double(d_m)}")
     )
@@ -175,7 +175,7 @@ def self_range_join(
     return _pair_join(
         df, df, d_m=d_m if extent.n else max(d_m, 1.0), extent=extent,
         value_col=value_col, distance=distance,
-    )
+    ).where(f"{R1} != {R2}")  # the grid join keeps self pairs
 
 
 def self_exact_join(df: DataFrame, *, value_col: str) -> DataFrame:
@@ -214,10 +214,14 @@ def self_knn_join(
     finite, so a round whose radius passes the largest one resolves every
     record. A final ``row_number`` window trims to ``need`` per ``r1``
     (ties broken by ``r2`` for determinism). Equivalent to an
-    index-backed kNN self-join, expressed as DataFrame rounds. Every round,
-    the last included, runs one Spark action, ``isEmpty`` on the uncached
-    frontier, to decide whether another round is needed. Without an
-    ``extent``, :func:`compute_extent` checks ``df`` and makes one.
+    index-backed kNN self-join, expressed as DataFrame rounds. A round's
+    join keeps each frontier record's self pair, so one ``count`` window
+    over ``r1`` marks the resolved records, and the unresolved self pairs
+    (a record with no neighbour has one too) pick the next frontier: a
+    round's plan is the last one's plus a fixed step. Every round, the last
+    included, runs ``isEmpty`` on the uncached frontier, which re-runs the
+    earlier rounds' joins: linear work per round, quadratic over the call.
+    Without an ``extent``, :func:`compute_extent` checks ``df`` and makes one.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -237,22 +241,24 @@ def self_knn_join(
     need = min(k, extent.n - 1)
     points = df.selectExpr(ID, LAT, LON, sql_ident(value_col))
     cols = dict(extent=extent, value_col=value_col, distance=distance)
-    unresolved = points
-    resolved_parts: list[DataFrame] = []
+    frontier = points
+    rounds: list[DataFrame] = []
     while True:
-        pairs = _pair_join(unresolved, points, d_m=radius, **cols)
-        done_ids = pairs.groupBy(R1).count().where(f"`count` >= {need}").select(R1)
-        resolved_parts.append(pairs.join(done_ids, on=R1, how="leftsemi"))
-        unresolved = unresolved.join(done_ids.selectExpr(f"{R1} AS {ID}"), on=ID, how="leftanti")
-        if unresolved.isEmpty():
+        pairs = _pair_join(frontier, points, d_m=radius, **cols).selectExpr(
+            "*", f"count(1) OVER (PARTITION BY {R1}) > {need} AS _done"
+        )
+        rounds.append(pairs.where(f"_done AND {R1} != {R2}"))
+        frontier = points.join(
+            pairs.where(f"NOT _done AND {R1} = {R2}").selectExpr(f"{R1} AS {ID}"),
+            on=ID, how="leftsemi",
+        )
+        if frontier.isEmpty():
             break
         radius *= 2.0
-    all_pairs = resolved_parts[0]
-    for p in resolved_parts[1:]:
-        all_pairs = all_pairs.unionByName(p)
     rank = f"row_number() OVER (PARTITION BY {R1} ORDER BY {DIST} ASC, {R2} ASC)"
     return (
-        all_pairs.selectExpr(*PAIR_COLUMNS, f"{rank} AS _rank")
+        functools.reduce(DataFrame.unionByName, rounds)
+        .selectExpr(*PAIR_COLUMNS, f"{rank} AS _rank")
         .where(f"_rank <= {k}")
         .selectExpr(*PAIR_COLUMNS)
     )

@@ -30,6 +30,20 @@ def brute_knn(pdf: pd.DataFrame, k: int, ref_lat: float | None = None) -> set:
     return out
 
 
+def far_outlier_frame() -> pd.DataFrame:
+    """200 records in a 0.02° (about 2 km) square plus one record 5° north of
+    it: with k = 3 the cluster resolves in the first round and the outlier,
+    some 550 km from its nearest, in the sixth."""
+    cluster = rand_points(200, seed=42, bbox=(41.80, 41.82, -87.70, -87.68))
+    outlier = pd.DataFrame({"rid": [999], "lat": [46.81], "lon": [-87.69], "v": ["A"]})
+    return pd.concat([cluster, outlier], ignore_index=True)
+
+
+def plan_nodes(df) -> int:
+    """Nodes in ``df``'s analyzed logical plan, one line each in its tree string."""
+    return len(df._jdf.queryExecution().analyzed().treeString().splitlines())
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_uniform_points(self, spark, k):
@@ -61,6 +75,29 @@ class TestAgainstBruteForce:
         ext = compute_extent(sdf)
         got = self_knn_join(sdf, k=3, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, ext.ref_lat)
+
+    def test_far_outlier_over_six_rounds_with_a_fixed_plan_step(self, spark, monkeypatch):
+        """Exact over many rounds, and each round's frontier is read from
+        that round's rows, so its plan is the previous round's plus a fixed
+        step. A frontier that re-reads the previous one twice doubles per
+        round; the check runs before each round's ``isEmpty``, so such a
+        plan fails at the third round instead of running for a minute."""
+        pdf = far_outlier_frame()
+        sdf = spark.createDataFrame(pdf)
+        rounds = count_knn_rounds(monkeypatch, sdf, limit=12)
+        counted = type(sdf).isEmpty
+        sizes = []
+
+        def checked(self):
+            sizes.append(plan_nodes(self))
+            steps = [b - a for a, b in zip(sizes, sizes[1:])]
+            assert all(step <= steps[0] for step in steps), sizes
+            return counted(self)
+
+        monkeypatch.setattr(type(sdf), "isEmpty", checked)
+        got = self_knn_join(sdf, k=3, value_col="v").toPandas()
+        assert len(rounds) >= 5
+        assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, compute_extent(sdf).ref_lat)
 
 
 class TestInvariants:
