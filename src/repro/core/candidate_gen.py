@@ -15,13 +15,15 @@ Three phases per erroneous cell:
    remains or the top one exceeds ``MaxProb``.
 
 Everything is DataFrame algebra on the detector's rows, which are
-hash-partitioned by cell: phase 1 is one group-by of each flagged cell's
+partitioned by cell: phase 1 is one group-by of each flagged cell's
 neighbour values together with its own value, phase 2 a join against the
-broadcast value-frequency table, and phase 3 windows over the cell. None of
-them moves a row to another partition, and the result is one ``kept``
-frame, which the §5 formatters score and ``hostsys.corrector.argbest``
-ranks on the same partitioning. The labels and the candidates left for the
-host corrector are views of it — no per-row Python, no anti-join.
+broadcast value-frequency table, and phase 3 windows over the cell. Each
+is keyed by the tile the rows carry, if any (a range DistanceMatrix's; see
+:func:`repro.spatial.join.tile_columns`), and then the cell, so none of
+them moves a row to another partition. The result is one ``kept`` frame,
+which the §5 formatters score and ``hostsys.corrector.argbest`` ranks on
+the same partitioning. The labels and the candidates left for the host
+corrector are views of it — no per-row Python, no anti-join.
 """
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +33,7 @@ from pyspark.sql import functions as F
 
 from repro.core.distance_matrix import V1, V2, W
 from repro.core.error_detector import FLAGGED, DetectorResult
-from repro.spatial.join import ID, R1, R2, sql_double, sql_ident
+from repro.spatial.join import ID, R1, R2, sql_double, sql_ident, tile_columns
 
 VALUE = "value"
 WEIGHT = "weight"  # phase-1 sum of weights (|Spatial(v, R)|, or 0.01 default)
@@ -56,7 +58,8 @@ class CandidateResult:
     ``kept`` holds every candidate that survives the MinProb cutoff, with
     the :data:`CANDIDATE_COLUMNS`, the cell's own value ``v1`` and the
     cell's ``labeled`` flag: one candidate left, or the top one (by
-    prob_norm, then value) above MaxProb. It stays partitioned by cell.
+    prob_norm, then value) above MaxProb. It stays partitioned by cell, and
+    keeps the tile of the detector's rows, if they carry one.
     """
 
     kept: DataFrame
@@ -75,9 +78,14 @@ class CandidateResult:
 
 
 def value_frequency(df: DataFrame, attribute: str) -> DataFrame:
-    """``Count(v, D)`` per non-null value — Figure 3b's statistics table."""
+    """``Count(v, D)`` per non-null value — Figure 3b's statistics table.
+
+    Like the input contract's aggregate, it is counted on one partition of
+    ``df``: the aggregate then needs no exchange, and the broadcast that
+    phase 2 makes of the table is its one Spark job.
+    """
     a = sql_ident(attribute)
-    return df.where(f"{a} IS NOT NULL").groupBy(F.expr(f"{a} AS {VALUE}")).agg(
+    return df.coalesce(1).where(f"{a} IS NOT NULL").groupBy(F.expr(f"{a} AS {VALUE}")).agg(
         F.expr("count(1) AS cnt")
     )
 
@@ -107,10 +115,11 @@ def generate_candidates(
     # weightless own value: a value no neighbor shares sums to null, so it
     # takes the default.
     own = f"{R2} = {R1}"
+    tile = tile_columns(detected.rows)
     cands = (
         detected.rows.where(f"{FLAGGED} AND {V2} IS NOT NULL AND ({W} IS NOT NULL OR {own})")
-        .selectExpr(f"{R1} AS {ID}", V1, f"{V2} AS {VALUE}", f"{W} AS _w", f"{own} AS _own")
-        .groupBy(ID, V1, VALUE)
+        .selectExpr(*tile, f"{R1} AS {ID}", V1, f"{V2} AS {VALUE}", f"{W} AS _w", f"{own} AS _own")
+        .groupBy(*tile, ID, V1, VALUE)
         .agg(
             F.expr(f"coalesce(sum(_w), {sql_double(DEFAULT_OWN_WEIGHT)}) AS {WEIGHT}"),
             F.expr(f"coalesce(sum(_w), {sql_double(0.0)}) AS {SPATIAL_WEIGHT}"),
@@ -147,9 +156,9 @@ def generate_candidates(
     # non-null neighbor, from which the §5 formulators score candidates.
     # A cell whose candidates all weigh 0 has no distribution: its
     # prob_norm is null, and the cutoff drops every candidate.
-    cell = f"OVER (PARTITION BY {ID})"
+    cell = f"OVER (PARTITION BY {', '.join((*tile, ID))})"
     kept = (
-        cands.selectExpr(ID, V1, VALUE, WEIGHT, SPATIAL_WEIGHT, f"{prob} AS {PROB}")
+        cands.selectExpr(*tile, ID, V1, VALUE, WEIGHT, SPATIAL_WEIGHT, f"{prob} AS {PROB}")
         .selectExpr(
             "*",
             f"try_divide({PROB}, sum({PROB}) {cell}) AS {PROB_NORM}",
@@ -157,7 +166,7 @@ def generate_candidates(
         )
         .where(f"{PROB_NORM} >= {sql_double(min_prob)}")
         .selectExpr(
-            *CANDIDATE_COLUMNS, V1,
+            *tile, *CANDIDATE_COLUMNS, V1,
             f"count(1) {cell} = 1 OR max({PROB_NORM}) {cell} > {sql_double(max_prob)} AS {LABELED}",
         )
     )

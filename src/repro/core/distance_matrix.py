@@ -8,6 +8,12 @@ weight under ``W``. It is one self-join that carries ``A`` on both sides
 (``repro.spatial.join``), plus the ``W`` column. All later Sparcle stages
 are cheap scans/joins of this table, which is why the paper materialises it
 once per constraint.
+
+The join also pairs each record with itself. :func:`cell_rows` keeps those
+self pairs as the cells' own rows, with no weight, and the error detector
+reads them in place of a second scan of the records; a range join's rows
+keep the tile that the join partitioned them by, so the stages after it run
+without another shuffle. :func:`build_distance_matrix` is the matrix alone.
 """
 from pyspark.sql import DataFrame
 
@@ -17,7 +23,7 @@ from repro.core.constraints import (
     SpatialRangeConstraint,
 )
 from repro.spatial.join import (
-    DIST, R1, R2, V1, V2, Extent, self_exact_join, self_knn_join, self_range_join, sql_double,
+    DIST, R1, R2, V1, V2, Extent, exact_pairs, knn_pairs, range_pairs, sql_double, tile_columns,
 )
 
 W = "w"
@@ -25,30 +31,44 @@ W = "w"
 DM_COLUMNS = (R1, R2, V1, V2, DIST, W)
 
 
-def build_distance_matrix(
-    df: DataFrame, constraint: Constraint, *, extent: Extent | None = None
-) -> DataFrame:
-    """The full ``(R1, R2, v1, v2, D, W)`` DistanceMatrix for a constraint."""
+def cell_rows(df: DataFrame, constraint: Constraint, *, extent: Extent | None = None) -> DataFrame:
+    """The DistanceMatrix plus one own row per record, from one join.
+
+    An own row is the record's self pair: ``r1 = r2``, ``v2 = v1``, distance
+    0 and a null ``w``, since the record is not its own neighbour. A range
+    constraint's rows also carry ``r1``'s tile (see
+    :func:`repro.spatial.join.tile_columns`).
+    """
     if not isinstance(constraint, Constraint):
         raise TypeError(f"unsupported constraint {constraint!r}")
     if isinstance(constraint, ExactLocationConstraint) or (
         # d=0 degenerates to the exact-equality constraint (§6.1).
         isinstance(constraint, SpatialRangeConstraint) and constraint.d_m == 0
     ):
-        return self_exact_join(df, value_col=constraint.attribute).selectExpr(
-            "*", f"{sql_double(1.0)} AS {W}"
-        )
-    if isinstance(constraint, SpatialRangeConstraint):
-        pairs = self_range_join(
+        pairs = exact_pairs(df, value_col=constraint.attribute)
+        w = sql_double(1.0)
+    elif isinstance(constraint, SpatialRangeConstraint):
+        pairs = range_pairs(
             df, d_m=constraint.d_m, value_col=constraint.attribute,
             distance=constraint.distance, extent=extent,
         )
-        return pairs.selectExpr("*", f"{constraint.weight.expr(DIST, sql_double(constraint.d_m))} AS {W}")
-    pairs = self_knn_join(
-        df, k=constraint.k, value_col=constraint.attribute, distance=constraint.distance,
-        extent=extent,
+        w = constraint.weight.expr(DIST, sql_double(constraint.d_m))
+    else:
+        # The paper sets d to the k-th neighbor distance of each r1 (§6).
+        pairs = knn_pairs(
+            df, k=constraint.k, value_col=constraint.attribute, distance=constraint.distance,
+            extent=extent,
+        ).selectExpr("*", f"max({DIST}) OVER (PARTITION BY {R1}) AS _d_max")
+        w = constraint.weight.expr(DIST, "_d_max")
+    return pairs.selectExpr(
+        *tile_columns(pairs), R1, R2, V1, V2, DIST,
+        f"CASE WHEN {R1} = {R2} THEN NULL ELSE {w} END AS {W}",
     )
-    # The paper sets d to the k-th neighbor distance of each r1 (§6).
-    return pairs.selectExpr("*", f"max({DIST}) OVER (PARTITION BY {R1}) AS _d_max").selectExpr(
-        R1, R2, V1, V2, DIST, f"{constraint.weight.expr(DIST, '_d_max')} AS {W}"
-    )
+
+
+def build_distance_matrix(
+    df: DataFrame, constraint: Constraint, *, extent: Extent | None = None
+) -> DataFrame:
+    """The full ``(R1, R2, v1, v2, D, W)`` DistanceMatrix for a constraint."""
+    rows = cell_rows(df, constraint, extent=extent)
+    return rows.where(f"{R1} != {R2}").selectExpr(*DM_COLUMNS)

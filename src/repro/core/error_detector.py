@@ -6,33 +6,41 @@ because at least one of the two records violates the spatial dependency
 and we cannot yet tell which. Cells with a missing (null) value are
 erroneous unconditionally, matching the host systems' null detectors.
 
-The detector shuffles the DistanceMatrix once, by ``r1``, and decides each
-cell from its own rows, so everything after it (Algorithm 2, the §5
-formats and the arg-best) runs on the same partitioning. The rows of a
-cell are its DistanceMatrix rows, its own row (``r2 = r1``, ``v2 = v1``,
-which makes a cell without neighbours present too), and, for a directed
-(kNN) DistanceMatrix, a weightless copy of every violation seen from the
-other end, so that its ``r1`` side is complete as well. A range or exact
-DistanceMatrix holds every pair in both orientations already and gets no
-copies. ``v1`` is the cell's own value on every one of its rows.
+The detector decides each cell from its own rows with one window keyed by
+the tile the rows carry (:func:`repro.spatial.join.tile_columns`) and the
+cell, so everything after it (Algorithm 2, the §5 formats and the
+arg-best) runs on the same partitioning. The rows of a cell are its DistanceMatrix rows, its own row (``r2 = r1``, ``v2 = v1``,
+no weight, which makes a cell without neighbours present too), and, for a
+directed (kNN) DistanceMatrix, a weightless copy of every violation seen
+from the other end, so that its ``r1`` side is complete as well. A range or
+exact DistanceMatrix holds every pair in both orientations already and gets
+no copies. ``v1`` is the cell's own value on every one of its rows.
+
+The pipeline hands the detector the rows of
+:func:`repro.core.distance_matrix.cell_rows`, whose own rows are the spatial
+join's self pairs. A range join's rows keep ``r1``'s tile, by which the join
+partitioned them, and the window runs there with no shuffle; a kNN or exact
+DistanceMatrix carries no tile, and the window shuffles its rows by ``r1``.
 """
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 
 from repro.core.distance_matrix import V1, V2, W
-from repro.spatial.join import ID, R1, R2, sql_ident
+from repro.spatial.join import ID, R1, R2, sql_ident, tile_columns
 
 FLAGGED = "flagged"
 
 
 @dataclass(frozen=True)
 class DetectorResult:
-    """Every cell's rows, hash-partitioned by ``r1``, each with the cell's flag.
+    """Every cell's rows, each with the cell's flag, partitioned by cell.
 
-    ``rows`` has the columns ``r1, r2, v1, v2, w, flagged``. A null ``w``
-    marks a row that is not one of ``r1``'s neighbours: the cell's own row,
-    or a violation copied from the other end of a directed DistanceMatrix.
+    ``rows`` has the columns ``r1, r2, v1, v2, w, flagged``, after the tile
+    of ``r1`` when the rows carry one (see
+    :func:`repro.spatial.join.tile_columns`). A null ``w`` marks a row that
+    is not one of ``r1``'s neighbours: the cell's own row, or a violation
+    copied from the other end of a directed DistanceMatrix.
     """
 
     rows: DataFrame
@@ -53,36 +61,47 @@ class DetectorResult:
         return self._ids(False)
 
 
-def detect_errors(
-    df: DataFrame, dm: DataFrame, *, attribute: str, directed: bool = True
-) -> DetectorResult:
-    """Algorithm 1 over DistanceMatrix ``dm`` plus the null detector.
+def flag_cells(rows: DataFrame, *, directed: bool) -> DetectorResult:
+    """Algorithm 1 plus the null detector over every cell's rows.
 
-    ``directed`` says whether ``dm`` may hold a pair in one orientation
-    only, as a kNN DistanceMatrix does; only then are the violations
-    copied to their other end.
+    ``rows`` holds the DistanceMatrix ``(r1, r2, v1, v2, w)`` and exactly one
+    own row per cell (``r2 = r1``, ``v2 = v1``, null ``w``), and may carry
+    ``r1``'s tile. ``directed`` says whether the DistanceMatrix may hold a
+    pair in one orientation only, as a kNN one does; only then are the
+    violations copied to their other end. A copy has no tile, so directed
+    rows are keyed by ``r1`` alone.
     """
     # v1 IS DISTINCT FROM v2: nulls conflict with values; two nulls agree
     # (both cells are still caught by the unconditional null check).
     violation = f"NOT ({V1} <=> {V2})"
-    no_weight = "CAST(NULL AS DOUBLE)"
     if directed:
-        # Each row, plus each violation seen from r2, in one scan of ``dm``:
+        # Each row, plus each violation seen from r2, in one scan of ``rows``:
         # a union of two selects would evaluate the spatial join under it twice.
         ends = (
             f"array(named_struct('{R1}', {R1}, '{R2}', {R2}, '{V1}', {V1}, '{V2}', {V2}, '{W}', {W}),"
             f" CASE WHEN {violation} THEN named_struct('{R1}', {R2}, '{R2}', {R1},"
-            f" '{V1}', {V2}, '{V2}', {V1}, '{W}', {no_weight}) END)"
+            f" '{V1}', {V2}, '{V2}', {V1}, '{W}', CAST(NULL AS DOUBLE)) END)"
         )
-        pairs = (
-            dm.selectExpr(f"explode({ends}) AS _end").where("_end IS NOT NULL").selectExpr("_end.*")
+        rows = (
+            rows.selectExpr(f"explode({ends}) AS _end").where("_end IS NOT NULL").selectExpr("_end.*")
         )
-    else:
-        pairs = dm.selectExpr(R1, R2, V1, V2, W)
+    key = [*tile_columns(rows), R1]
+    flagged = (
+        f"(max({violation}) OVER (PARTITION BY {', '.join(key)}) OR {V1} IS NULL) AS {FLAGGED}"
+    )
+    return DetectorResult(rows=rows.selectExpr(*key, R2, V1, V2, W, flagged))
+
+
+def detect_errors(
+    df: DataFrame, dm: DataFrame, *, attribute: str, directed: bool = True
+) -> DetectorResult:
+    """Algorithm 1 over a DistanceMatrix ``dm`` (``r1 != r2``) plus the null detector.
+
+    The own rows are read from the records ``df``; see :func:`flag_cells`.
+    """
     value = sql_ident(attribute)
     own = df.selectExpr(
         f"{ID} AS {R1}", f"{ID} AS {R2}", f"{value} AS {V1}", f"{value} AS {V2}",
-        f"{no_weight} AS {W}",
+        f"CAST(NULL AS DOUBLE) AS {W}",
     )
-    flagged = f"(max({violation}) OVER (PARTITION BY {R1}) OR {V1} IS NULL) AS {FLAGGED}"
-    return DetectorResult(rows=pairs.unionByName(own).selectExpr("*", flagged))
+    return flag_cells(dm.selectExpr(R1, R2, V1, V2, W).unionByName(own), directed=directed)

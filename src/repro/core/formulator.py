@@ -31,7 +31,7 @@ column added, so the pipeline can pick one by host name.
 from pyspark.sql import DataFrame
 
 from repro.core.candidate_gen import SPATIAL_WEIGHT, TOTAL_WEIGHT
-from repro.spatial.join import ID, sql_double
+from repro.spatial.join import ID, sql_double, tile_columns
 
 SCORE = "score"
 
@@ -48,7 +48,8 @@ def probability_features(cands: DataFrame) -> DataFrame:
     only because it is the cell's original value has no proximity
     co-occurrence and scores 0, as in Figure 4(b).
     """
-    denom = f"sum({SPATIAL_WEIGHT}) OVER (PARTITION BY {ID})"
+    by_cell = ", ".join((*tile_columns(cands), ID))
+    denom = f"sum({SPATIAL_WEIGHT}) OVER (PARTITION BY {by_cell})"
     return cands.selectExpr(
         "*",
         f"CASE WHEN {denom} > 0 THEN {SPATIAL_WEIGHT} / {denom} ELSE {sql_double(0.0)} END AS {SCORE}",

@@ -6,9 +6,15 @@ formulated input to the requested host corrector:
     DistanceMatrix → error detector → candidate generator → formulator
     → host error corrector → repaired dataset
 
-After the spatial join the detector shuffles the DistanceMatrix once, by
-cell; every later stage runs on that partitioning, so the call's plan has
-no other shuffle than the join's and the small Count(v, D) table's.
+The spatial join pairs every record with itself as well as with its
+neighbours, and those self pairs are the cells' own rows, so the detector
+reads no second copy of the records. A range join partitions its rows by the
+tile of ``r1``, each record in its own tile; the detector, Algorithm 2, the
+formatter and the arg-best key every window and group-by by that tile and
+the cell, so the call's plan has no other shuffle than the join's: the
+small Count(v, D) table is counted on one partition and broadcast. A kNN
+or exact DistanceMatrix carries no tile: the detector shuffles it once, by
+cell, and the later stages run there.
 
 ``host_baseline_clean`` runs the *same* pipeline on the classical
 exact-location denial constraint — i.e. the host data cleaning system
@@ -23,8 +29,8 @@ from pyspark.sql import DataFrame
 from repro.core import candidate_gen as cg
 from repro.core import formulator
 from repro.core.constraints import Constraint, ExactLocationConstraint, SpatialKNNConstraint
-from repro.core.distance_matrix import V1, build_distance_matrix
-from repro.core.error_detector import detect_errors
+from repro.core.distance_matrix import V1, cell_rows
+from repro.core.error_detector import flag_cells
 from repro.hostsys.corrector import REPAIR, argbest
 from repro.spatial.join import ID, compute_extent, sql_ident
 
@@ -84,9 +90,9 @@ def sparcle_clean(
     ``df`` has the columns ``rid``, ``lat``, ``lon`` and the attribute; any
     other column is carried through untouched. For a range or an exact
     constraint the call runs two Spark actions, the input-contract
-    aggregate and the checkpoint of the changed cells; a kNN constraint
-    adds one per radius-doubling round of
-    :func:`repro.spatial.join.self_knn_join`. The call caches nothing.
+    aggregate (one Spark job) and the checkpoint of the changed cells; a
+    kNN constraint adds one per radius-doubling round of
+    :func:`repro.spatial.join.knn_pairs`. The call caches nothing.
 
     Raises ``ValueError`` naming the failed check when ``df`` has no
     attribute column (``missing column``, before any Spark job) or breaks
@@ -101,13 +107,11 @@ def sparcle_clean(
     extent = compute_extent(df)
     n_records = extent.n
 
-    # The detector shuffles the DistanceMatrix by cell once; Algorithm 2,
-    # the formatter and the arg-best run on that partitioning.
-    dm = build_distance_matrix(df, constraint, extent=extent)
+    # One join gives the DistanceMatrix and the own rows; the detector,
+    # Algorithm 2, the formatter and the arg-best run on its partitioning.
+    rows = cell_rows(df, constraint, extent=extent)
     # Only a kNN DistanceMatrix may hold a pair in one orientation.
-    detected = detect_errors(
-        df, dm, attribute=attribute, directed=isinstance(constraint, SpatialKNNConstraint)
-    )
+    detected = flag_cells(rows, directed=isinstance(constraint, SpatialKNNConstraint))
     cand = cg.generate_candidates(df, detected, attribute=attribute, total=n_records)
     formatter, lower_is_better = _HOSTS[corrector]
     best = argbest(formatter(cand.kept), lower_is_better=lower_is_better)

@@ -15,14 +15,15 @@ documented in DESIGN.md).
 
 A cell that Algorithm 2 has already labeled keeps its label: the top
 candidate by probability, then value. Both rules are one ranking window
-over the cell, so the labels and the corrected cells come out of one pass
-on the cell partitioning that Algorithm 2 leaves.
+over the cell (after the tile the candidates carry, if any), so the labels
+and the corrected cells come out of one pass on the cell partitioning that
+Algorithm 2 leaves.
 """
 from pyspark.sql import DataFrame
 
 from repro.core.candidate_gen import LABELED, PROB_NORM, VALUE
 from repro.core.formulator import SCORE
-from repro.spatial.join import ID, sql_double
+from repro.spatial.join import ID, sql_double, tile_columns
 
 REPAIR = "repair"
 
@@ -39,8 +40,11 @@ def argbest(scored: DataFrame, *, lower_is_better: bool) -> DataFrame:
         f"CASE WHEN {LABELED} THEN {sql_double(0.0)} ELSE {score} END ASC,"
         f" {PROB_NORM} DESC, {VALUE} ASC"
     )
+    by_cell = ", ".join((*tile_columns(scored), ID))
     return (
-        scored.selectExpr("*", f"row_number() OVER (PARTITION BY {ID} ORDER BY {order}) AS _rank")
+        scored.selectExpr(
+            "*", f"row_number() OVER (PARTITION BY {by_cell} ORDER BY {order}) AS _rank"
+        )
         .where("_rank = 1")
         .drop("_rank")
         .withColumnRenamed(VALUE, REPAIR)

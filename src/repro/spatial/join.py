@@ -2,12 +2,18 @@
 
 These are the "spatial database" operations the paper delegates to PostGIS
 (§3.2): range self-join, kNN self-join, and the degenerate exact-location
-self-join used by the non-spatial baseline. All return a pair DataFrame
-``(r1, r2, v1, v2, dist_m)`` with ``r1 != r2``, where ``v1``/``v2`` are the
-two records' values of ``value_col``, carried through the join as PostGIS
-would project ``a.A, b.A``; range/exact output is symmetric (both
-orientations of each pair), kNN output is directed (``r2`` is among
-``r1``'s k nearest).
+self-join used by the non-spatial baseline. Each returns a pair DataFrame
+``(r1, r2, v1, v2, dist_m)``, where ``v1``/``v2`` are the two records'
+values of ``value_col``, carried through the join as PostGIS would project
+``a.A, b.A``; range/exact output is symmetric (both orientations of each
+pair), kNN output is directed (``r2`` is among ``r1``'s k nearest).
+
+The ``*_pairs`` functions also return every record's self pair (``r1 =
+r2``, ``v2 = v1``, distance 0), which the Sparcle core reads as the cell's
+own row; the ``self_*_join`` functions leave it out. Range pairs carry
+``r1``'s own tile ``(_cx, _cy)``, by which the grid join hash-partitions
+them: a window or group-by keyed by the tile and then by ``r1`` (see
+:func:`tile_columns`) runs on the join's partitioning, with no shuffle.
 """
 import functools
 import math
@@ -76,7 +82,7 @@ class Extent:
 
 
 def compute_extent(df: DataFrame) -> Extent:
-    """Check the record contract; return the input's :class:`Extent`, in one aggregation.
+    """Check the record contract; return the input's :class:`Extent`, in one Spark job.
 
     ``df`` has the columns ``rid``, ``lat``, ``lon`` (read from the schema,
     with no Spark job), unique non-null ids and finite in-range coordinates,
@@ -85,6 +91,11 @@ def compute_extent(df: DataFrame) -> Extent:
     place drops out of a range join and never resolves in a kNN join.)
     Longitude is spanned on [−180, 180] and on [0, 360); the narrower span
     leaves out the gap the records do not straddle. Empty input gets a zero box.
+
+    The aggregation runs on one partition of ``df``, so its plan has no
+    exchange and ``count(DISTINCT rid)`` adds no job. One task scans the
+    whole input, which is slower than a parallel scan only on inputs far
+    larger than the tables cleaned here (DESIGN.md, "Input contract").
     """
     for column in (ID, LAT, LON):
         if column not in df.columns:
@@ -94,7 +105,7 @@ def compute_extent(df: DataFrame) -> Extent:
         f"{LAT} IS NULL OR {LON} IS NULL OR isnan({LAT}) OR isnan({LON})"
         f" OR abs({LAT}) > 90 OR abs({LON}) > 180"
     )
-    row = df.selectExpr(
+    row = df.coalesce(1).selectExpr(
         "count(1) AS n",
         f"min({LAT}) AS lat_min",
         f"max({LAT}) AS lat_max",
@@ -123,6 +134,17 @@ def compute_extent(df: DataFrame) -> Extent:
     return Extent(row["n"], row["lat_min"], row["lat_max"], lon_span)
 
 
+def tile_columns(df: DataFrame) -> list[str]:
+    """The tile columns ``(_cx, _cy)`` that ``df`` carries, if any.
+
+    A frame made from :func:`range_pairs` keeps ``r1``'s tile and stays
+    hash-partitioned by it. A window or group-by keyed by these columns and
+    then by the cell runs on that partitioning; a frame without them is
+    keyed by the cell alone.
+    """
+    return [c for c in (grid.CELL_X, grid.CELL_Y) if c in df.columns]
+
+
 def _pair_join(
     left: DataFrame,
     right: DataFrame,
@@ -132,28 +154,59 @@ def _pair_join(
     value_col: str,
     distance: str,
 ) -> DataFrame:
-    """All (left, right) pairs within ``d_m`` meters, self pairs (distance 0) kept."""
+    """All (left, right) pairs within ``d_m`` meters, self pairs (distance 0) kept.
+
+    ``right`` is exploded over the 3×3 tile neighbourhood and ``left`` stays
+    in its own tile, which the output carries as ``(_cx, _cy)``: the join
+    hash-partitions its output by the tile of ``r1``, the ``left`` record.
+    """
     value = sql_ident(value_col)
     tiles = dict(d_m=d_m, max_abs_lat_deg=extent.max_abs_lat)
-    right_tiled = grid.with_tiles(right, **tiles)
+    left_tiled = grid.with_tiles(left, **tiles)
     # Each side is tiled on its own (lat, lon) before its columns are named
     # apart; a self-join tiles its one input once.
-    left_tiled = right_tiled if left is right else grid.with_tiles(left, **tiles)
+    right_tiled = left_tiled if right is left else grid.with_tiles(right, **tiles)
     cells = (grid.CELL_X, grid.CELL_Y)
-    build = right_tiled.selectExpr(
-        f"{ID} AS {R2}", f"{LAT} AS _lat2", f"{LON} AS _lon2", f"{value} AS {V2}", *cells
+    own = left_tiled.selectExpr(
+        f"{ID} AS {R1}", f"{LAT} AS _lat1", f"{LON} AS _lon1", f"{value} AS {V1}", *cells
     )
-    probe = grid.explode_neighborhood(
-        left_tiled.selectExpr(
-            f"{ID} AS {R1}", f"{LAT} AS _lat1", f"{LON} AS _lon1", f"{value} AS {V1}", *cells
+    around = grid.explode_neighborhood(
+        right_tiled.selectExpr(
+            f"{ID} AS {R2}", f"{LAT} AS _lat2", f"{LON} AS _lon2", f"{value} AS {V2}", *cells
         ),
         lon_tiles=grid.lon_tile_count(d_m, extent.max_abs_lat),
     )
     dist = distance_expr(distance, "_lat1", "_lon1", "_lat2", "_lon2", extent.ref_lat)
     return (
-        probe.join(build, on=list(cells))
-        .selectExpr(R1, R2, V1, V2, f"{dist} AS {DIST}")
+        own.join(around, on=list(cells))
+        .selectExpr(R1, R2, V1, V2, f"{dist} AS {DIST}", *cells)
         .where(f"{DIST} < {sql_double(d_m)}")
+    )
+
+
+def _without_self_pairs(pairs: DataFrame) -> DataFrame:
+    return pairs.where(f"{R1} != {R2}").selectExpr(*PAIR_COLUMNS)
+
+
+def range_pairs(
+    df: DataFrame,
+    *,
+    d_m: float,
+    value_col: str,
+    distance: str = "equirect",
+    extent: Extent | None = None,
+) -> DataFrame:
+    """Symmetric pairs ``(r1, r2, v1, v2, dist_m, _cx, _cy)`` with ``dist_m < d_m``,
+    self pairs included, hash-partitioned by ``r1``'s tile ``(_cx, _cy)``.
+
+    Matches the paper's ``SpatialRange`` predicate: strict ``F(r1,r2) < d``.
+    Without an ``extent``, :func:`compute_extent` checks ``df`` and makes one.
+    """
+    extent = extent or compute_extent(df)
+    # Empty input yields no pairs at any tile size; a positive one lets d_m = 0 pass.
+    return _pair_join(
+        df, df, d_m=d_m if extent.n else max(d_m, 1.0), extent=extent,
+        value_col=value_col, distance=distance,
     )
 
 
@@ -165,21 +218,14 @@ def self_range_join(
     distance: str = "equirect",
     extent: Extent | None = None,
 ) -> DataFrame:
-    """Symmetric pairs ``(r1, r2, v1, v2, dist_m)`` with ``dist_m < d_m``, r1 != r2.
-
-    Matches the paper's ``SpatialRange`` predicate: strict ``F(r1,r2) < d``.
-    Without an ``extent``, :func:`compute_extent` checks ``df`` and makes one.
-    """
-    extent = extent or compute_extent(df)
-    # Empty input yields no pairs at any tile size; a positive one lets d_m = 0 pass.
-    return _pair_join(
-        df, df, d_m=d_m if extent.n else max(d_m, 1.0), extent=extent,
-        value_col=value_col, distance=distance,
-    ).where(f"{R1} != {R2}")  # the grid join keeps self pairs
+    """:func:`range_pairs` without the self pairs: ``(r1, r2, v1, v2, dist_m)``, r1 != r2."""
+    return _without_self_pairs(
+        range_pairs(df, d_m=d_m, value_col=value_col, distance=distance, extent=extent)
+    )
 
 
-def self_exact_join(df: DataFrame, *, value_col: str) -> DataFrame:
-    """Pairs at the *same exact* coordinates — the non-spatial baseline.
+def exact_pairs(df: DataFrame, *, value_col: str) -> DataFrame:
+    """Pairs at the *same exact* coordinates, self pairs included — the non-spatial baseline.
 
     This is the equality self-join current cleaning systems run (§3.2):
     co-occurrence exists only where coordinates are duplicated.
@@ -189,10 +235,88 @@ def self_exact_join(df: DataFrame, *, value_col: str) -> DataFrame:
             f"{ID} AS {rid}", f"{LAT} AS _lat", f"{LON} AS _lon", f"{sql_ident(value_col)} AS {v}"
         )
 
+    return side(R1, V1).join(side(R2, V2), on=["_lat", "_lon"]).selectExpr(
+        R1, R2, V1, V2, f"{sql_double(0.0)} AS {DIST}"
+    )
+
+
+def self_exact_join(df: DataFrame, *, value_col: str) -> DataFrame:
+    """:func:`exact_pairs` without the self pairs, r1 != r2."""
+    return _without_self_pairs(exact_pairs(df, value_col=value_col))
+
+
+def knn_pairs(
+    df: DataFrame,
+    *,
+    k: int,
+    value_col: str,
+    distance: str = "equirect",
+    extent: Extent | None = None,
+) -> DataFrame:
+    """Directed k-nearest-neighbor pairs ``(r1, r2, v1, v2, dist_m)``, self pairs included.
+
+    Grid range-join at an estimated radius, then radius doubling for the
+    records not yet resolved. A record is resolved once at least
+    ``need = min(k, n-1)`` other records lie within the round's radius:
+    every record outside it is farther, so its k nearest are among them,
+    whatever the distance. With finite coordinates every distance is
+    finite, so a round whose radius passes the largest one resolves every
+    record. A final ``row_number`` window keeps each ``r1``'s self pair
+    and its ``need`` nearest others (ties broken by ``r2`` for
+    determinism). Equivalent to an index-backed kNN self-join, expressed
+    as DataFrame rounds. A round explodes only its frontier over the tile
+    neighbourhood and keeps each frontier record's self pair, so one
+    ``count`` window over ``r1`` marks the resolved records, and the
+    unresolved self pairs (a record with no neighbour has one too) pick
+    the next frontier: a round's plan is the last one's plus a fixed step.
+    Every round, the last included, runs ``isEmpty`` on the uncached
+    frontier, which re-runs the earlier rounds' joins: linear work per
+    round, quadratic over the call. With at most one record there is no
+    neighbour to find, and no round: each record has its self pair alone.
+    Without an ``extent``, :func:`compute_extent` checks ``df`` and makes one.
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    extent = extent or compute_extent(df)
+    value = sql_ident(value_col)
+    if extent.n <= 1:
+        return df.selectExpr(
+            f"{ID} AS {R1}", f"{ID} AS {R2}", f"{value} AS {V1}", f"{value} AS {V2}",
+            f"{sql_double(0.0)} AS {DIST}",
+        )
+
+    # Radius such that a disk holds ~3(k+1) points under uniform density.
+    density = extent.n / extent.area_m2
+    radius = max(
+        math.sqrt(3.0 * (k + 1) / (math.pi * density)), extent.diagonal_m / 1024, 1.0
+    )
+    need = min(k, extent.n - 1)
+    points = df.selectExpr(ID, LAT, LON, value)
+    cols = dict(extent=extent, value_col=value_col, distance=distance)
+    frontier = points
+    rounds: list[DataFrame] = []
+    while True:
+        # The exploded side is the frontier, so the join names it r2.
+        pairs = (
+            _pair_join(points, frontier, d_m=radius, **cols)
+            .selectExpr(f"{R2} AS {R1}", f"{R1} AS {R2}", f"{V2} AS {V1}", f"{V1} AS {V2}", DIST)
+            .selectExpr("*", f"count(1) OVER (PARTITION BY {R1}) > {need} AS _done")
+        )
+        rounds.append(pairs.where("_done"))
+        frontier = points.join(
+            pairs.where(f"NOT _done AND {R1} = {R2}").selectExpr(f"{R1} AS {ID}"),
+            on=ID, how="leftsemi",
+        )
+        if frontier.isEmpty():
+            break
+        radius *= 2.0
+    # The self pair ranks first, even among other records at distance 0.
+    rank = f"row_number() OVER (PARTITION BY {R1} ORDER BY {R1} != {R2}, {DIST}, {R2})"
     return (
-        side(R1, V1).join(side(R2, V2), on=["_lat", "_lon"])
-        .where(f"{R1} != {R2}")
-        .selectExpr(R1, R2, V1, V2, f"{sql_double(0.0)} AS {DIST}")
+        functools.reduce(DataFrame.unionByName, rounds)
+        .selectExpr(*PAIR_COLUMNS, f"{rank} AS _rank")
+        .where(f"_rank <= {k + 1}")
+        .selectExpr(*PAIR_COLUMNS)
     )
 
 
@@ -204,61 +328,7 @@ def self_knn_join(
     distance: str = "equirect",
     extent: Extent | None = None,
 ) -> DataFrame:
-    """Directed k-nearest-neighbor pairs ``(r1, r2, v1, v2, dist_m)``.
-
-    Grid range-join at an estimated radius, then radius doubling for the
-    records not yet resolved. A record is resolved once at least
-    ``need = min(k, n-1)`` other records lie within the round's radius:
-    every record outside it is farther, so its k nearest are among them,
-    whatever the distance. With finite coordinates every distance is
-    finite, so a round whose radius passes the largest one resolves every
-    record. A final ``row_number`` window trims to ``need`` per ``r1``
-    (ties broken by ``r2`` for determinism). Equivalent to an
-    index-backed kNN self-join, expressed as DataFrame rounds. A round's
-    join keeps each frontier record's self pair, so one ``count`` window
-    over ``r1`` marks the resolved records, and the unresolved self pairs
-    (a record with no neighbour has one too) pick the next frontier: a
-    round's plan is the last one's plus a fixed step. Every round, the last
-    included, runs ``isEmpty`` on the uncached frontier, which re-runs the
-    earlier rounds' joins: linear work per round, quadratic over the call.
-    Without an ``extent``, :func:`compute_extent` checks ``df`` and makes one.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    extent = extent or compute_extent(df)
-    spark = df.sparkSession
-    if extent.n <= 1:
-        vtype = df.schema[value_col].dataType.simpleString()
-        return spark.createDataFrame(
-            [], schema=f"{R1} long, {R2} long, {V1} {vtype}, {V2} {vtype}, {DIST} double"
-        )
-
-    # Radius such that a disk holds ~3(k+1) points under uniform density.
-    density = extent.n / extent.area_m2
-    radius = max(
-        math.sqrt(3.0 * (k + 1) / (math.pi * density)), extent.diagonal_m / 1024, 1.0
-    )
-    need = min(k, extent.n - 1)
-    points = df.selectExpr(ID, LAT, LON, sql_ident(value_col))
-    cols = dict(extent=extent, value_col=value_col, distance=distance)
-    frontier = points
-    rounds: list[DataFrame] = []
-    while True:
-        pairs = _pair_join(frontier, points, d_m=radius, **cols).selectExpr(
-            "*", f"count(1) OVER (PARTITION BY {R1}) > {need} AS _done"
-        )
-        rounds.append(pairs.where(f"_done AND {R1} != {R2}"))
-        frontier = points.join(
-            pairs.where(f"NOT _done AND {R1} = {R2}").selectExpr(f"{R1} AS {ID}"),
-            on=ID, how="leftsemi",
-        )
-        if frontier.isEmpty():
-            break
-        radius *= 2.0
-    rank = f"row_number() OVER (PARTITION BY {R1} ORDER BY {DIST} ASC, {R2} ASC)"
-    return (
-        functools.reduce(DataFrame.unionByName, rounds)
-        .selectExpr(*PAIR_COLUMNS, f"{rank} AS _rank")
-        .where(f"_rank <= {k}")
-        .selectExpr(*PAIR_COLUMNS)
+    """:func:`knn_pairs` without the self pairs: each ``r1``'s k nearest others."""
+    return _without_self_pairs(
+        knn_pairs(df, k=k, value_col=value_col, distance=distance, extent=extent)
     )

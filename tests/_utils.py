@@ -2,6 +2,7 @@
 import numpy as np
 import pandas as pd
 
+from repro.core.constraints import SpatialRangeConstraint
 from repro.spatial.geo import EARTH_RADIUS_M, M_PER_DEG_LAT, meters_per_degree_lon
 
 BBOX_SMALL = (41.80, 41.90, -87.70, -87.60)  # ~11 km × 8 km patch of Chicago
@@ -43,6 +44,31 @@ def haversine_np(pdf: pd.DataFrame) -> np.ndarray:
     dlon = lon[None, :] - lon[:, None]
     a = np.sin(dlat / 2) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2) ** 2
     return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(a))
+
+
+def pandas_dm(pdf: pd.DataFrame, constraint) -> pd.DataFrame:
+    """The DistanceMatrix ``(r1, r2, v1, v2, w)`` by brute force over all pairs."""
+    if constraint.distance == "haversine":
+        dist = haversine_np(pdf)
+    else:
+        dist = equirect_np(pdf, (pdf["lat"].min() + pdf["lat"].max()) / 2)
+    n = len(pdf)
+    np.fill_diagonal(dist, np.inf)
+    if isinstance(constraint, SpatialRangeConstraint):
+        i, j = np.nonzero(dist < constraint.d_m)
+        d_max = np.full(len(i), constraint.d_m)
+    else:  # the k nearest of each r1, ties by r2; d is the k-th distance
+        order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist), axis=1)[:, : constraint.k]
+        i, j = np.repeat(np.arange(n), constraint.k), order.ravel()
+        d_max = np.repeat(dist[np.arange(n)[:, None], order].max(axis=1), constraint.k)
+    d = dist[i, j]
+    wf = constraint.weight
+    with np.errstate(divide="ignore", invalid="ignore"):  # d_max = 0: duplicates only
+        w = np.ones(len(i)) if wf.n == 0 else np.maximum(0.0, 1.0 - d / d_max) ** wf.n
+    w = np.where(d_max <= 0, 1.0, w)
+    w = np.maximum(w, wf.floor)
+    ids, values = pdf["rid"].to_numpy(), pdf["ward"].to_numpy()
+    return pd.DataFrame({"r1": ids[i], "r2": ids[j], "v1": values[i], "v2": values[j], "w": w})
 
 
 def equirect_sql(ref_lat: float) -> str:

@@ -9,7 +9,6 @@ so the spatial join, the one shuffle by cell and every later stage are
 checked together. The kNN DistanceMatrix is directed, so it also checks
 that the detector flags a cell through a neighbour that names it.
 """
-import numpy as np
 import pandas as pd
 import pytest
 
@@ -19,36 +18,11 @@ from repro.core.error_detector import detect_errors
 from repro.core.pipeline import CORRECTORS, sparcle_clean
 from repro.synth_spatial import RegionAttr, spatial_dataset_pdf
 from tests import _alg2_reference as ref
-from tests._utils import BBOX_SMALL, equirect_np, haversine_np
+from tests._utils import BBOX_SMALL, pandas_dm
 
 ATTR = RegionAttr("ward", 6, error_rate=0.15, dup_ratio=0.3, missing_frac=0.4)
 D_M = 900.0
 K = 6
-
-
-def pandas_dm(pdf: pd.DataFrame, constraint) -> pd.DataFrame:
-    """The DistanceMatrix ``(r1, r2, v1, v2, w)`` by brute force over all pairs."""
-    if constraint.distance == "haversine":
-        dist = haversine_np(pdf)
-    else:
-        dist = equirect_np(pdf, (pdf["lat"].min() + pdf["lat"].max()) / 2)
-    n = len(pdf)
-    np.fill_diagonal(dist, np.inf)
-    if isinstance(constraint, SpatialRangeConstraint):
-        i, j = np.nonzero(dist < constraint.d_m)
-        d_max = np.full(len(i), constraint.d_m)
-    else:  # the k nearest of each r1, ties by r2; d is the k-th distance
-        order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist), axis=1)[:, : constraint.k]
-        i, j = np.repeat(np.arange(n), constraint.k), order.ravel()
-        d_max = np.repeat(dist[np.arange(n)[:, None], order].max(axis=1), constraint.k)
-    d = dist[i, j]
-    wf = constraint.weight
-    with np.errstate(divide="ignore", invalid="ignore"):  # d_max = 0: duplicates only
-        w = np.ones(len(i)) if wf.n == 0 else np.maximum(0.0, 1.0 - d / d_max) ** wf.n
-    w = np.where(d_max <= 0, 1.0, w)
-    w = np.maximum(w, wf.floor)
-    ids, values = pdf["rid"].to_numpy(), pdf["ward"].to_numpy()
-    return pd.DataFrame({"r1": ids[i], "r2": ids[j], "v1": values[i], "v2": values[j], "w": w})
 
 
 def expected_repairs(df: pd.DataFrame, dm: pd.DataFrame, errors: set, host: str) -> dict:

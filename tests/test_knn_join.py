@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.spatial import grid
 from repro.spatial.join import DIST, compute_extent, self_knn_join
 from tests._utils import (
     BBOX_ACROSS_180,
@@ -98,6 +99,28 @@ class TestAgainstBruteForce:
         got = self_knn_join(sdf, k=3, value_col="v").toPandas()
         assert len(rounds) >= 5
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, compute_extent(sdf).ref_lat)
+
+
+    def test_rounds_after_the_first_explode_only_the_frontier(self, spark, monkeypatch):
+        """A round explodes its frontier over the tile neighbourhood, not
+        every record: once the cluster resolves, each round explodes the
+        outlier alone."""
+        cluster = rand_points(20, seed=43, bbox=(41.80, 41.81, -87.70, -87.69))
+        outlier = pd.DataFrame({"rid": [999], "lat": [42.30], "lon": [-87.695], "v": ["A"]})
+        pdf = pd.concat([cluster, outlier], ignore_index=True)
+        sdf = spark.createDataFrame(pdf)
+        exploded = []
+        explode = grid.explode_neighborhood
+
+        def recorded(df, **kwargs):
+            exploded.append(df)
+            return explode(df, **kwargs)
+
+        monkeypatch.setattr(grid, "explode_neighborhood", recorded)
+        got = self_knn_join(sdf, k=3, value_col="v").toPandas()
+        assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, compute_extent(sdf).ref_lat)
+        sizes = [df.count() for df in exploded]
+        assert len(sizes) >= 3 and sizes[0] == len(pdf) and set(sizes[1:]) == {1}, sizes
 
 
 class TestInvariants:

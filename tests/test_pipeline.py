@@ -1,4 +1,5 @@
 """End-to-end Sparcle pipeline vs the exact-location host baseline."""
+import itertools
 import re
 
 import pandas as pd
@@ -12,8 +13,10 @@ from repro.core.constraints import (
     WeightFunction,
 )
 from repro.core import pipeline
+from repro.core.distance_matrix import build_distance_matrix
 from repro.core.pipeline import host_baseline_clean, sparcle_clean
 from repro.evalx.metrics import duplication_split, evaluate_repairs
+from repro.spatial.join import compute_extent
 from repro.synth_spatial import BBOX_CHICAGO, RegionAttr, spatial_dataset_pdf
 
 ATTR = RegionAttr("ward", 8, error_rate=0.12, dup_ratio=0.4, missing_frac=0.5)
@@ -295,18 +298,102 @@ class TestNoStateLeftBehind:
     @pytest.mark.parametrize(
         "constraint", [RANGE, ExactLocationConstraint("ward")], ids=["range", "exact"]
     )
-    def test_distance_matrix_shuffled_once_by_cell(self, spark, constraint):
-        """After the spatial join, the detector shuffles the DistanceMatrix by
-        cell once; Algorithm 2, the formatter, the arg-best and the changed
-        cells stay on that partitioning, and nothing is re-keyed by value.
-        The one other shuffle is Count(v, D), keyed by the attribute."""
+    def test_shuffled_by_tile_or_once_by_cell(self, spark, constraint):
+        """A range call's grid join shuffles both sides by tile, and every
+        later stage (the detector, Algorithm 2, the formatter, the arg-best
+        and the changed cells) stays on that partitioning: nothing is keyed
+        by the cell. An exact call's detector shuffles by the cell at most
+        once. Count(v, D) is counted on one partition and broadcast, so no
+        shuffle is keyed by the attribute, and nothing is re-keyed by value."""
         df = spark.createDataFrame(FIVE, SCHEMA)
         sparcle_clean(df, constraint, corrector="aimnet")
         keys = last_execution_shuffle_keys(spark)
-        assert keys, "no shuffle found in the plan"
-        assert sum(k in {("r1",), ("rid",)} for k in keys) <= 1, keys
+        by_cell = sum(k in {("r1",), ("rid",)} for k in keys)
+        if constraint is RANGE:
+            assert sorted(keys) == [("_cx", "_cy"), ("_cx", "_cy")], keys
+            assert by_cell == 0, keys
+        else:
+            assert keys, "no shuffle found in the plan"
+            assert by_cell <= 1, keys
         assert not any("value" in k for k in keys), keys
-        assert sum(k == ("ward",) for k in keys) == 1, keys
+        assert ("ward",) not in keys, keys
+
+
+_GROUPS = itertools.count()
+
+
+def jobs_run(spark, call) -> tuple[object, int]:
+    """(``call()``'s result, the number of Spark jobs it ran), read from the
+    status tracker under a job group of its own."""
+    sc = spark.sparkContext
+    group = f"jobs_run.{next(_GROUPS)}"
+    sc.setJobGroup(group, group)
+    try:
+        result = call()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return result, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestJobBudget:
+    """The contract check is one Spark job, and a range call a fixed number,
+    so a change that adds a job fails here."""
+
+    #: Jobs of one range call on FIVE: the contract aggregate, the two sides
+    #: of the grid join (one shuffle stage each), the Count(v, D) broadcast,
+    #: and the checkpoint.
+    RANGE_CALL_JOBS = 5
+
+    def test_contract_check_runs_one_job(self, spark):
+        df = spark.createDataFrame(FIVE, SCHEMA)
+        extent, jobs = jobs_run(spark, lambda: compute_extent(df))
+        assert extent.n == 5
+        assert jobs == 1
+
+    @pytest.mark.parametrize(
+        "r5,message",
+        [
+            (
+                (None, 41.8005, -87.7005, "B"),
+                "null id: 1 record(s) have a null 'rid'",
+            ),
+            (
+                (1, 41.8005, -87.7005, "B"),
+                "duplicate id: 1 record(s) repeat an 'rid'",
+            ),
+            (
+                (5, 41.8005, float("nan"), "B"),
+                "bad coordinates: 1 record(s) have a null, NaN or out-of-range 'lat'/'lon'",
+            ),
+        ],
+        ids=["null-id", "duplicate-id", "nan-lon"],
+    )
+    def test_each_failed_check_is_named_after_one_job(self, spark, r5, message):
+        df = spark.createDataFrame(FIVE[:4] + [r5], SCHEMA)
+        raised, jobs = jobs_run(spark, lambda: _raised(lambda: compute_extent(df)))
+        assert str(raised) == message
+        assert jobs == 1
+
+    def test_missing_column_is_named_without_a_job(self, spark):
+        df = spark.createDataFrame(FIVE, SCHEMA).drop("lat")
+        raised, jobs = jobs_run(spark, lambda: _raised(lambda: compute_extent(df)))
+        assert str(raised) == "missing column: the input has no 'lat'"
+        assert jobs == 0
+
+    def test_range_call_runs_a_fixed_number_of_jobs(self, spark):
+        df = spark.createDataFrame(FIVE, SCHEMA)
+        out, jobs = jobs_run(spark, lambda: sparcle_clean(df, RANGE, corrector="aimnet"))
+        assert jobs == self.RANGE_CALL_JOBS
+        assert [(r.rid, r.new_value) for r in out.repairs.collect()] == [(5, "A")]
+
+
+def _raised(call) -> ValueError:
+    """The ``ValueError`` ``call()`` raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return info.value
 
 
 class TestDottedAttribute:
@@ -330,33 +417,45 @@ class TestDottedAttribute:
 
 
 class TestDetectorRows:
-    """The detector copies violations to their other end only for a directed
-    (kNN) DistanceMatrix; range and exact ones hold both orientations."""
+    """The detector reads each DistanceMatrix row once and one own row per
+    record, the join's self pair. It copies violations to their other end
+    only for a directed (kNN) DistanceMatrix; range and exact ones hold both
+    orientations."""
 
     @pytest.fixture
     def captured(self, monkeypatch):
         calls = []
 
-        def detect(df, dm, **kwargs):
-            result = detect_errors(df, dm, **kwargs)
-            calls.append((dm, result))
+        def flag(rows, **kwargs):
+            result = flag_cells(rows, **kwargs)
+            calls.append((rows, result))
             return result
 
-        detect_errors = pipeline.detect_errors
-        monkeypatch.setattr(pipeline, "detect_errors", detect)
+        flag_cells = pipeline.flag_cells
+        monkeypatch.setattr(pipeline, "flag_cells", flag)
         return calls
 
+    @staticmethod
+    def own_rows(detected) -> list[int]:
+        return sorted(r.r1 for r in detected.rows.where("r1 = r2").collect())
+
     def test_range_call_ships_each_row_once(self, spark, captured):
-        sparcle_clean(spark.createDataFrame(FIVE, SCHEMA), RANGE, corrector="aimnet")
-        ((dm, detected),) = captured
+        df = spark.createDataFrame(FIVE, SCHEMA)
+        sparcle_clean(df, RANGE, corrector="aimnet")
+        ((_, detected),) = captured
+        dm = build_distance_matrix(df, RANGE)
         assert detected.rows.count() == dm.count() + len(FIVE)
+        assert self.own_rows(detected) == [1, 2, 3, 4, 5]
 
     def test_knn_call_adds_a_copy_per_violation(self, spark, captured):
-        sparcle_clean(spark.createDataFrame(FIVE, SCHEMA), KNN, corrector="aimnet")
-        ((dm, detected),) = captured
+        df = spark.createDataFrame(FIVE, SCHEMA)
+        sparcle_clean(df, KNN, corrector="aimnet")
+        ((_, detected),) = captured
+        dm = build_distance_matrix(df, KNN)
         violations = dm.where("NOT (v1 <=> v2)").count()
         assert violations > 0
         assert detected.rows.count() == dm.count() + len(FIVE) + violations
+        assert self.own_rows(detected) == [1, 2, 3, 4, 5]
 
     def test_two_records_are_each_others_nearest(self, spark, captured):
         """The pair spans the whole extent, diagonal to diagonal: both
@@ -366,8 +465,8 @@ class TestDetectorRows:
             spark.createDataFrame(rows, SCHEMA), SpatialKNNConstraint("ward", k=1),
             corrector="aimnet",
         )
-        ((dm, detected),) = captured
-        assert sorted((r.r1, r.r2) for r in dm.collect()) == [(1, 2), (2, 1)]
+        ((cells, detected),) = captured
+        assert sorted((r.r1, r.r2) for r in cells.where("r1 != r2").collect()) == [(1, 2), (2, 1)]
         assert sorted(r.rid for r in detected.error_ids.collect()) == [1, 2]
 
 
