@@ -9,7 +9,10 @@ Three phases per erroneous cell:
 2. **Probability estimation** (§4.2): spatially-aware Naive Bayes —
    ``Prob(C = v) = |Spatial(v,R)|/|D| × Π_{A'} Count((v,R.A'),D)/Count(v,D)``
    with the record-identifier factor following the minimality principle
-   (1 for the cell's original value, 0.1 otherwise).
+   (1 for the cell's original value, 0.1 otherwise). The non-spatial
+   attributes A′ are not computed here: the paper's comparison mutes
+   non-spatial signals, so the product keeps the record-identifier factor
+   alone.
 3. **Labeling and cutoffs** (§4.3): normalise per cell, drop candidates
    below ``MinProb``, and label a cell clean when a single candidate
    remains or the top one exceeds ``MaxProb``.
@@ -26,7 +29,6 @@ the same partitioning. The labels and the candidates left for the host
 corrector are views of it — no per-row Python, no anti-join.
 """
 from dataclasses import dataclass
-from typing import Sequence
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -95,7 +97,6 @@ def generate_candidates(
     detected: DetectorResult,
     *,
     attribute: str,
-    other_attrs: Sequence[str] = (),
     min_prob: float = 0.05,
     max_prob: float = 0.95,
     freq: DataFrame | None = None,
@@ -138,18 +139,6 @@ def generate_candidates(
     cnt_v = "coalesce(_cnt_v, 1)"
     own_factor = f"CASE WHEN _own THEN {sql_double(1.0)} ELSE {sql_double(MINIMALITY_PSEUDO_COUNT)} END"
     prob = f"({WEIGHT} / {sql_double(total)}) * ({own_factor} / {cnt_v})"
-    # Generic non-spatial attributes A': Count((v, R.A'), D) / Count(v, D).
-    a = sql_ident(attribute)
-    for i, other in enumerate(other_attrs):
-        o = sql_ident(other)
-        coocc = df.where(f"{a} IS NOT NULL").groupBy(
-            F.expr(f"{a} AS {VALUE}"), F.expr(f"{o} AS _av{i}")
-        ).agg(F.expr(f"count(1) AS _co{i}"))
-        cands = (
-            cands.join(df.selectExpr(ID, f"{o} AS _av{i}"), on=ID)
-            .join(coocc, on=[VALUE, f"_av{i}"], how="left")
-        )
-        prob = f"{prob} * (coalesce(_co{i}, {sql_double(MINIMALITY_PSEUDO_COUNT)}) / {cnt_v})"
 
     # ---- Phase 3: normalisation, MinProb cutoff, MaxProb labeling -------
     # The total is taken before the cutoff: it is the weight of every

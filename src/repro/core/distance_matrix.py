@@ -13,7 +13,8 @@ The join also pairs each record with itself. :func:`cell_rows` keeps those
 self pairs as the cells' own rows, with no weight, and the error detector
 reads them in place of a second scan of the records; a range join's rows
 keep the tile that the join partitioned them by, so the stages after it run
-without another shuffle. :func:`build_distance_matrix` is the matrix alone.
+without another shuffle. The DistanceMatrix proper is its rows with
+``r1 != r2``.
 """
 from pyspark.sql import DataFrame
 
@@ -23,12 +24,11 @@ from repro.core.constraints import (
     SpatialRangeConstraint,
 )
 from repro.spatial.join import (
-    DIST, R1, R2, V1, V2, Extent, exact_pairs, knn_pairs, range_pairs, sql_double, tile_columns,
+    DIST, R1, R2, V1, V2, Extent, compute_extent, exact_pairs, knn_pairs, range_pairs, sql_double,
+    tile_columns,
 )
 
 W = "w"
-
-DM_COLUMNS = (R1, R2, V1, V2, DIST, W)
 
 
 def cell_rows(df: DataFrame, constraint: Constraint, *, extent: Extent | None = None) -> DataFrame:
@@ -37,10 +37,13 @@ def cell_rows(df: DataFrame, constraint: Constraint, *, extent: Extent | None = 
     An own row is the record's self pair: ``r1 = r2``, ``v2 = v1``, distance
     0 and a null ``w``, since the record is not its own neighbour. A range
     constraint's rows also carry ``r1``'s tile (see
-    :func:`repro.spatial.join.tile_columns`).
+    :func:`repro.spatial.join.tile_columns`). Without an ``extent``,
+    :func:`repro.spatial.join.compute_extent` checks ``df`` and makes one,
+    whatever the constraint.
     """
     if not isinstance(constraint, Constraint):
         raise TypeError(f"unsupported constraint {constraint!r}")
+    extent = extent or compute_extent(df)
     if isinstance(constraint, ExactLocationConstraint) or (
         # d=0 degenerates to the exact-equality constraint (§6.1).
         isinstance(constraint, SpatialRangeConstraint) and constraint.d_m == 0
@@ -65,10 +68,3 @@ def cell_rows(df: DataFrame, constraint: Constraint, *, extent: Extent | None = 
         f"CASE WHEN {R1} = {R2} THEN NULL ELSE {w} END AS {W}",
     )
 
-
-def build_distance_matrix(
-    df: DataFrame, constraint: Constraint, *, extent: Extent | None = None
-) -> DataFrame:
-    """The full ``(R1, R2, v1, v2, D, W)`` DistanceMatrix for a constraint."""
-    rows = cell_rows(df, constraint, extent=extent)
-    return rows.where(f"{R1} != {R2}").selectExpr(*DM_COLUMNS)

@@ -1,9 +1,10 @@
 """Experiment harness: dataset analogs and the paper's tables (§6).
 
 Every table in the evaluation section has a builder here returning a
-pandas DataFrame (and writing ``results/table*.csv``); ``jobs/`` and
-``benchmarks/`` are thin wrappers around these builders. Paper-vs-measured
-numbers are transcribed in ``EXPERIMENTS.md``.
+pandas DataFrame (and writing ``results/table*.csv``); one thin wrapper
+per table, ``benchmarks/bench_*.py``, runs it (``pytest
+benchmarks/bench_table4.py --benchmark-only``). Paper-vs-measured numbers
+are transcribed in ``EXPERIMENTS.md``.
 
 Scaling: record counts are controlled by ``sf`` (1.0 = benchmark scale,
 far below the paper's testbed — see DESIGN.md substitutions). The spatial

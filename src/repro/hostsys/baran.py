@@ -7,8 +7,8 @@ it failing on 731K+ rows for exactly this reason), so the reproduction
 implements it in pandas on the driver: memory bound in one process, the
 property behind the paper's out-of-memory failure. At this repository's
 scale it is not the slowest system but the fastest: ``results/table4.csv``
-has it at 0.05–0.12 s per dependency against 27–283 s for Sparcle and the
-host baseline.
+has it at 0.07–0.20 s per dependency against 1.7–13.5 s for Sparcle and
+the host baseline.
 The human-in-the-loop sampling of the original is omitted for all systems
 alike (no system here sees ground-truth labels; DESIGN.md documents the
 substitution).

@@ -8,9 +8,9 @@ values of ``value_col``, carried through the join as PostGIS would project
 ``a.A, b.A``; range/exact output is symmetric (both orientations of each
 pair), kNN output is directed (``r2`` is among ``r1``'s k nearest).
 
-The ``*_pairs`` functions also return every record's self pair (``r1 =
-r2``, ``v2 = v1``, distance 0), which the Sparcle core reads as the cell's
-own row; the ``self_*_join`` functions leave it out. Range pairs carry
+Each join also returns every record's self pair (``r1 = r2``, ``v2 =
+v1``, distance 0), which the Sparcle core reads as the cell's own row; a
+record's neighbours are its pairs with ``r1 != r2``. Range pairs carry
 ``r1``'s own tile ``(_cx, _cy)``, by which the grid join hash-partitions
 them: a window or group-by keyed by the tile and then by ``r1`` (see
 :func:`tile_columns`) runs on the join's partitioning, with no shuffle.
@@ -184,10 +184,6 @@ def _pair_join(
     )
 
 
-def _without_self_pairs(pairs: DataFrame) -> DataFrame:
-    return pairs.where(f"{R1} != {R2}").selectExpr(*PAIR_COLUMNS)
-
-
 def range_pairs(
     df: DataFrame,
     *,
@@ -210,25 +206,13 @@ def range_pairs(
     )
 
 
-def self_range_join(
-    df: DataFrame,
-    *,
-    d_m: float,
-    value_col: str,
-    distance: str = "equirect",
-    extent: Extent | None = None,
-) -> DataFrame:
-    """:func:`range_pairs` without the self pairs: ``(r1, r2, v1, v2, dist_m)``, r1 != r2."""
-    return _without_self_pairs(
-        range_pairs(df, d_m=d_m, value_col=value_col, distance=distance, extent=extent)
-    )
-
-
 def exact_pairs(df: DataFrame, *, value_col: str) -> DataFrame:
     """Pairs at the *same exact* coordinates, self pairs included — the non-spatial baseline.
 
     This is the equality self-join current cleaning systems run (§3.2):
-    co-occurrence exists only where coordinates are duplicated.
+    co-occurrence exists only where coordinates are duplicated. It takes no
+    extent and checks nothing; :func:`repro.core.distance_matrix.cell_rows`
+    checks the records first.
     """
     def side(rid: str, v: str) -> DataFrame:
         return df.selectExpr(
@@ -238,11 +222,6 @@ def exact_pairs(df: DataFrame, *, value_col: str) -> DataFrame:
     return side(R1, V1).join(side(R2, V2), on=["_lat", "_lon"]).selectExpr(
         R1, R2, V1, V2, f"{sql_double(0.0)} AS {DIST}"
     )
-
-
-def self_exact_join(df: DataFrame, *, value_col: str) -> DataFrame:
-    """:func:`exact_pairs` without the self pairs, r1 != r2."""
-    return _without_self_pairs(exact_pairs(df, value_col=value_col))
 
 
 def knn_pairs(
@@ -317,18 +296,4 @@ def knn_pairs(
         .selectExpr(*PAIR_COLUMNS, f"{rank} AS _rank")
         .where(f"_rank <= {k + 1}")
         .selectExpr(*PAIR_COLUMNS)
-    )
-
-
-def self_knn_join(
-    df: DataFrame,
-    *,
-    k: int,
-    value_col: str,
-    distance: str = "equirect",
-    extent: Extent | None = None,
-) -> DataFrame:
-    """:func:`knn_pairs` without the self pairs: each ``r1``'s k nearest others."""
-    return _without_self_pairs(
-        knn_pairs(df, k=k, value_col=value_col, distance=distance, extent=extent)
     )

@@ -27,34 +27,31 @@ def detected(df, dm, *, attribute) -> tuple[set, set]:
     return errors, set(df["rid"]) - errors
 
 
-def kept_candidates(df, dm, error_ids, *, attribute, other_attrs=(), min_prob, max_prob):
-    """Phases 1–3: the kept candidates, each with ``labeled`` and ``rank``."""
+def kept_candidates(df, dm, error_ids, *, attribute, min_prob, max_prob):
+    """Phases 1–3: the kept candidates, each with ``labeled`` and ``rank``.
+
+    ``dm`` may hold the cells' own rows (``r2 = r1``); they are no neighbours.
+    """
     total = len(df)
     cnt = _count(df[attribute])
     rec = df.set_index("rid")
-    present = df[df[attribute].notna()]
-    co = {a: present.groupby([attribute, a]).size().to_dict() for a in other_attrs}
     rows = []
     for rid in sorted(set(error_ids)):
         own = rec.at[rid, attribute]
         # Phase 1: summed weights of non-null neighbour values, plus the own
         # value at the default weight when no neighbour shares it.
-        nb = dm[(dm["r1"] == rid) & dm["v2"].notna()]
+        nb = dm[(dm["r1"] == rid) & (dm["r2"] != rid) & dm["v2"].notna()]
         sw = {v: float(g["w"].sum()) for v, g in nb.groupby("v2")}
         cands = {v: (w, w) for v, w in sw.items()}
         if pd.notna(own) and own not in cands:
             cands[own] = (DEFAULT_OWN_WEIGHT, 0.0)
         if not cands:
             continue
-        # Phase 2: spatial term × record-id factor × other-attribute factors.
-        probs = {}
-        for v, (weight, _) in cands.items():
-            p = (weight / float(total)) * ((1.0 if v == own else PSEUDO) / cnt[v])
-            for a in other_attrs:
-                av = rec.at[rid, a]
-                c = co[a].get((v, av), 0) if pd.notna(av) else 0
-                p = p * ((c or PSEUDO) / cnt[v])
-            probs[v] = p
+        # Phase 2: spatial term × record-id factor.
+        probs = {
+            v: (weight / float(total)) * ((1.0 if v == own else PSEUDO) / cnt[v])
+            for v, (weight, _) in cands.items()
+        }
         # Phase 3: normalise, cut at MinProb, rank, label at MaxProb.
         z = sum(probs.values())
         t = sum(s for _, s in cands.values())

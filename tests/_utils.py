@@ -47,7 +47,8 @@ def haversine_np(pdf: pd.DataFrame) -> np.ndarray:
 
 
 def pandas_dm(pdf: pd.DataFrame, constraint) -> pd.DataFrame:
-    """The DistanceMatrix ``(r1, r2, v1, v2, w)`` by brute force over all pairs."""
+    """``cell_rows``' ``(r1, r2, v1, v2, w)`` by brute force over all pairs: the
+    DistanceMatrix plus each record's own row (``r2 = r1``, null ``w``)."""
     if constraint.distance == "haversine":
         dist = haversine_np(pdf)
     else:
@@ -67,6 +68,8 @@ def pandas_dm(pdf: pd.DataFrame, constraint) -> pd.DataFrame:
         w = np.ones(len(i)) if wf.n == 0 else np.maximum(0.0, 1.0 - d / d_max) ** wf.n
     w = np.where(d_max <= 0, 1.0, w)
     w = np.maximum(w, wf.floor)
+    i, j = np.concatenate([i, np.arange(n)]), np.concatenate([j, np.arange(n)])
+    w = np.concatenate([w, np.full(n, np.nan)])
     ids, values = pdf["rid"].to_numpy(), pdf["ward"].to_numpy()
     return pd.DataFrame({"r1": ids[i], "r2": ids[j], "v1": values[i], "v2": values[j], "w": w})
 
@@ -118,14 +121,14 @@ def broken_frame(spark, case: str):
     return df, check
 
 
-#: More rounds than ``self_knn_join`` makes on valid records within 4 m of
+#: More rounds than ``knn_pairs`` makes on valid records within 4 m of
 #: each other, such as ``CONTRACT_RECORDS``: its first radius is at least
 #: 1 m and doubles each round, so by the third round it passes 4 m.
 KNN_ROUND_LIMIT = 4
 
 
 def count_knn_rounds(monkeypatch, df, limit: int = KNN_ROUND_LIMIT) -> list:
-    """Record each ``isEmpty`` call, one per ``self_knn_join`` round, in the
+    """Record each ``isEmpty`` call, one per ``knn_pairs`` round, in the
     returned list. The call past ``limit`` raises ``RuntimeError``, so a
     join that never resolves fails instead of running on."""
     rounds = []
@@ -134,7 +137,7 @@ def count_knn_rounds(monkeypatch, df, limit: int = KNN_ROUND_LIMIT) -> list:
     def counted(self):
         rounds.append(self)
         if len(rounds) > limit:
-            raise RuntimeError(f"self_knn_join did not end within {limit} rounds")
+            raise RuntimeError(f"knn_pairs did not end within {limit} rounds")
         return is_empty(self)
 
     monkeypatch.setattr(type(df), "isEmpty", counted)

@@ -252,65 +252,3 @@ class TestValueFrequency:
         pdf = res.candidates.toPandas()
         assert pdf["prob_norm"].sum() == pytest.approx(1.0)
 
-
-class TestOtherAttributes:
-    @pytest.fixture(scope="class")
-    def state(self, spark):
-        df = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "rid": [1, 2, 3, 4, 5],
-                    "ward": ["A", "A", "B", "B", "A"],
-                    "city": ["X", "X", "X", "Y", "Y"],
-                }
-            )
-        )
-        dm = spark.createDataFrame(
-            pd.DataFrame(
-                [
-                    (5, 1, "A", "A", 100.0, 0.5),
-                    (5, 3, "A", "B", 200.0, 0.2),
-                ],
-                columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
-            )
-        )
-        det = detect_errors(df, dm, attribute="ward")
-        res = generate_candidates(
-            df, det, attribute="ward", other_attrs=("city",),
-            min_prob=0.0, max_prob=1.1,
-        )
-        return res.candidates.toPandas().set_index("value")
-
-    def test_cooccurrence_factor_for_own_value(self, state):
-        # prob(A) = (0.5/5) × (1/3 id factor) × Count((A, city=Y))/Count(A)
-        #         = 0.1 × 1/3 × 1/3
-        assert state.loc["A", "prob"] == pytest.approx(0.1 * (1 / 3) * (1 / 3), rel=1e-9)
-
-    def test_cooccurrence_factor_for_other_value(self, state):
-        # prob(B) = (0.2/5) × (0.1/2) × Count((B, city=Y))/Count(B) = 0.04 × 0.05 × 0.5
-        assert state.loc["B", "prob"] == pytest.approx(0.04 * 0.05 * 0.5, rel=1e-9)
-
-    def test_zero_cooccurrence_uses_pseudo_count(self, spark):
-        df = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "rid": [1, 2, 3],
-                    "ward": ["A", "B", "A"],
-                    "city": ["X", "X", "Z"],
-                }
-            )
-        )
-        dm = spark.createDataFrame(
-            pd.DataFrame(
-                [(3, 2, "A", "B", 50.0, 0.4)],
-                columns=["r1", "r2", "v1", "v2", "dist_m", "w"],
-            )
-        )
-        det = detect_errors(df, dm, attribute="ward")
-        res = generate_candidates(
-            df, det, attribute="ward", other_attrs=("city",),
-            min_prob=0.0, max_prob=1.1,
-        )
-        pdf = res.candidates.toPandas().set_index("value")
-        # (B, city=Z) never co-occurs → 0.1 pseudo-count: (0.4/3)×(0.1/1)×(0.1/1)
-        assert pdf.loc["B", "prob"] == pytest.approx((0.4 / 3) * 0.1 * 0.1, rel=1e-9)

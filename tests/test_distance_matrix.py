@@ -1,4 +1,4 @@
-"""DistanceMatrix builder (§3.2): schema, weights, value attachment."""
+"""DistanceMatrix builder (§3.2): schema, own rows, weights, value attachment."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -9,7 +9,7 @@ from repro.core.constraints import (
     SpatialRangeConstraint,
     WeightFunction,
 )
-from repro.core.distance_matrix import DM_COLUMNS, build_distance_matrix
+from repro.core.distance_matrix import cell_rows
 from repro.spatial.geo import M_PER_DEG_LAT
 from tests._utils import CONTRACT_BREAKS, broken_frame, count_knn_rounds
 
@@ -30,17 +30,22 @@ class TestRangeMatrix:
     def dm(self, spark):
         df = line_df(spark, [(0.0, "A"), (200.0, "A"), (500.0, "B"), (5000.0, "C")])
         c = SpatialRangeConstraint("ward", 1000.0, WeightFunction(n=2.0))
-        return build_distance_matrix(df, c).toPandas()
+        return cell_rows(df, c).toPandas()
 
     def test_schema(self, dm):
-        assert tuple(sorted(dm.columns)) == tuple(sorted(DM_COLUMNS))
+        assert list(dm.columns) == ["_cx", "_cy", "r1", "r2", "v1", "v2", "dist_m", "w"]
 
     def test_far_record_excluded(self, dm):
-        assert 3 not in set(dm["r1"]) and 3 not in set(dm["r2"])
+        near_3 = (dm["r1"] == 3) | (dm["r2"] == 3)
+        assert list(zip(dm[near_3]["r1"], dm[near_3]["r2"])) == [(3, 3)]  # its own row
 
     def test_pair_count_symmetric(self, dm):
-        # r0–r1 (200m), r0–r2 (500m), r1–r2 (300m) → 6 directed rows.
-        assert len(dm) == 6
+        # r0–r1 (200m), r0–r2 (500m), r1–r2 (300m) → 6 directed rows,
+        # plus one own row for each of the 4 records.
+        assert len(dm) == 6 + 4
+        own = dm[dm["r1"] == dm["r2"]]
+        assert sorted(own["r1"]) == [0, 1, 2, 3]
+        assert own["w"].isna().all() and (own["dist_m"] == 0.0).all()
 
     def test_distances_exact(self, dm):
         d = dm.set_index(["r1", "r2"])["dist_m"]
@@ -64,9 +69,9 @@ class TestNullValues:
     def test_nulls_propagate_to_matrix(self, spark):
         df = line_df(spark, [(0.0, "A"), (100.0, None)])
         c = SpatialRangeConstraint("ward", 1000.0)
-        dm = build_distance_matrix(df, c).toPandas()
-        row = dm.set_index(["r1", "r2"]).loc[(0, 1)]
-        assert pd.isna(row["v2"]) and row["v1"] == "A"
+        dm = cell_rows(df, c).toPandas().set_index(["r1", "r2"])
+        assert pd.isna(dm.loc[(0, 1), "v2"]) and dm.loc[(0, 1), "v1"] == "A"
+        assert pd.isna(dm.loc[(1, 1), "v1"]) and pd.isna(dm.loc[(1, 1), "v2"])
 
 
 class TestZeroDRange:
@@ -80,16 +85,14 @@ class TestZeroDRange:
             }
         )
         df = spark.createDataFrame(pdf)
-        via_zero = build_distance_matrix(
-            df, SpatialRangeConstraint("ward", 0.0)
-        ).toPandas()
-        via_exact = build_distance_matrix(
-            df, ExactLocationConstraint("ward")
-        ).toPandas()
-        key = lambda p: sorted(map(tuple, p[["r1", "r2", "w"]].values))
-        assert key(via_zero) == key(via_exact)
-        assert set(zip(via_zero["r1"], via_zero["r2"])) == {(0, 1), (1, 0)}
-        assert (via_zero["w"] == 1.0).all()
+        via_zero, via_exact = (
+            cell_rows(df, c).toPandas().sort_values(["r1", "r2"]).reset_index(drop=True)
+            for c in (SpatialRangeConstraint("ward", 0.0), ExactLocationConstraint("ward"))
+        )
+        pd.testing.assert_frame_equal(via_zero, via_exact)
+        assert list(zip(via_zero["r1"], via_zero["r2"])) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+        own = via_zero["r1"] == via_zero["r2"]
+        assert (via_zero[~own]["w"] == 1.0).all() and via_zero[own]["w"].isna().all()
 
 
 class TestKnnMatrix:
@@ -99,10 +102,12 @@ class TestKnnMatrix:
             spark, [(0.0, "A"), (100.0, "A"), (300.0, "B"), (600.0, "B"), (1000.0, "C")]
         )
         c = SpatialKNNConstraint("ward", k=2, weight=WeightFunction(n=2.0, floor=0.01))
-        return build_distance_matrix(df, c).toPandas()
+        return cell_rows(df, c).toPandas()
 
     def test_two_neighbors_each(self, dm):
-        assert (dm.groupby("r1").size() == 2).all()
+        own = dm["r1"] == dm["r2"]
+        assert sorted(dm[own]["r1"]) == [0, 1, 2, 3, 4]
+        assert (dm[~own].groupby("r1").size() == 2).all()
 
     def test_kth_neighbor_gets_floor_weight(self, dm):
         # For r0 the 2nd-nearest is r2 at 300 m = d_max → raw weight 0 → floor.
@@ -129,19 +134,28 @@ class TestUnsupportedConstraint:
     def test_type_error(self, spark):
         df = line_df(spark, [(0.0, "A")])
         with pytest.raises(TypeError, match="unsupported constraint"):
-            build_distance_matrix(df, object())  # type: ignore[arg-type]
+            cell_rows(df, object())  # type: ignore[arg-type]
 
 
 class TestInputContract:
-    """Called directly, the builder's range and kNN joins check the records."""
+    """Called directly without an extent, the builder checks the records for
+    every constraint. The exact join checks nothing itself: unchecked, a
+    null-latitude record would lose its own row, and a repeated id would
+    get two."""
 
     @pytest.mark.parametrize(
-        "constraint", [SpatialRangeConstraint("v", 500.0), SpatialKNNConstraint("v", k=1)],
-        ids=["range", "knn"],
+        "constraint",
+        [
+            SpatialRangeConstraint("v", 500.0),
+            SpatialKNNConstraint("v", k=1),
+            ExactLocationConstraint("v"),
+            SpatialRangeConstraint("v", 0.0),
+        ],
+        ids=["range", "knn", "exact", "range-d0"],
     )
     @pytest.mark.parametrize("case", CONTRACT_BREAKS)
     def test_broken_record_names_the_failed_check(self, spark, monkeypatch, case, constraint):
         df, check = broken_frame(spark, case)
         count_knn_rounds(monkeypatch, df)
         with pytest.raises(ValueError, match=check):
-            build_distance_matrix(df, constraint)
+            cell_rows(df, constraint)

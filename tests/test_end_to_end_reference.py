@@ -13,8 +13,8 @@ import pandas as pd
 import pytest
 
 from repro.core.constraints import SpatialKNNConstraint, SpatialRangeConstraint, WeightFunction
-from repro.core.distance_matrix import build_distance_matrix
-from repro.core.error_detector import detect_errors
+from repro.core.distance_matrix import cell_rows
+from repro.core.error_detector import flag_cells
 from repro.core.pipeline import CORRECTORS, sparcle_clean
 from repro.synth_spatial import RegionAttr, spatial_dataset_pdf
 from tests import _alg2_reference as ref
@@ -52,7 +52,9 @@ def test_sparcle_clean_matches_pandas_path(spark, kind, seed):
     # A cell flagged only by a neighbour that names it keeps its value (its
     # own neighbours all agree with it), so the repairs cannot show whether
     # the detector saw the kNN DistanceMatrix from both ends; the flags can.
-    det = detect_errors(sdf, build_distance_matrix(sdf, constraint), attribute="ward")
+    det = flag_cells(
+        cell_rows(sdf, constraint), directed=isinstance(constraint, SpatialKNNConstraint)
+    )
     assert {r.rid for r in det.error_ids.collect()} == errors
     for host in CORRECTORS:
         want = expected_repairs(df, dm, errors, host)

@@ -1,4 +1,4 @@
-"""kNN self-join against numpy brute force and invariants."""
+"""kNN self-join, self pairs included, against numpy brute force and invariants."""
 import itertools
 
 import numpy as np
@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.spatial import grid
-from repro.spatial.join import DIST, compute_extent, self_knn_join
+from repro.spatial.join import DIST, compute_extent, knn_pairs
 from tests._utils import (
     BBOX_ACROSS_180,
     BBOX_POLAR_CAP,
@@ -20,13 +20,14 @@ from tests._utils import (
 
 
 def brute_knn(pdf: pd.DataFrame, k: int, ref_lat: float | None = None) -> set:
-    """Each record's k nearest, equirectangular around ``ref_lat`` or haversine."""
+    """Each record's self pair and its k nearest others, equirectangular
+    around ``ref_lat`` or haversine."""
     dist = haversine_np(pdf) if ref_lat is None else equirect_np(pdf, ref_lat)
-    np.fill_diagonal(dist, np.inf)
+    np.fill_diagonal(dist, -1.0)  # the self pair ranks first
     out = set()
     rids = pdf["rid"].values
     for i in range(len(pdf)):
-        order = np.argsort(dist[i], kind="stable")[: min(k, len(pdf) - 1)]
+        order = np.argsort(dist[i], kind="stable")[: min(k, len(pdf) - 1) + 1]
         out |= {(int(rids[i]), int(rids[j])) for j in order}
     return out
 
@@ -51,7 +52,7 @@ class TestAgainstBruteForce:
         pdf = rand_points(150, seed=30)
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf)
-        got = self_knn_join(sdf, k=k, value_col="v").toPandas()
+        got = knn_pairs(sdf, k=k, value_col="v").toPandas()
         expected = brute_knn(pdf, k, ext.ref_lat)
         assert set(zip(got["r1"], got["r2"])) == expected
 
@@ -65,7 +66,7 @@ class TestAgainstBruteForce:
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf)
         k = 45  # forces every record to reach into the other cluster
-        got = self_knn_join(sdf, k=k, value_col="v").toPandas()
+        got = knn_pairs(sdf, k=k, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, k, ext.ref_lat)
 
     def test_lone_outlier_point(self, spark):
@@ -74,7 +75,7 @@ class TestAgainstBruteForce:
         pdf = pd.concat([pdf, outlier], ignore_index=True)
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf)
-        got = self_knn_join(sdf, k=3, value_col="v").toPandas()
+        got = knn_pairs(sdf, k=3, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, ext.ref_lat)
 
     def test_far_outlier_over_six_rounds_with_a_fixed_plan_step(self, spark, monkeypatch):
@@ -96,7 +97,7 @@ class TestAgainstBruteForce:
             return counted(self)
 
         monkeypatch.setattr(type(sdf), "isEmpty", checked)
-        got = self_knn_join(sdf, k=3, value_col="v").toPandas()
+        got = knn_pairs(sdf, k=3, value_col="v").toPandas()
         assert len(rounds) >= 5
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, compute_extent(sdf).ref_lat)
 
@@ -117,7 +118,7 @@ class TestAgainstBruteForce:
             return explode(df, **kwargs)
 
         monkeypatch.setattr(grid, "explode_neighborhood", recorded)
-        got = self_knn_join(sdf, k=3, value_col="v").toPandas()
+        got = knn_pairs(sdf, k=3, value_col="v").toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 3, compute_extent(sdf).ref_lat)
         sizes = [df.count() for df in exploded]
         assert len(sizes) >= 3 and sizes[0] == len(pdf) and set(sizes[1:]) == {1}, sizes
@@ -125,37 +126,41 @@ class TestAgainstBruteForce:
 
 class TestInvariants:
     def test_exactly_k_rows_per_record(self, spark):
+        """k neighbour rows per record, besides its one self pair."""
         pdf = rand_points(80, seed=34)
-        got = self_knn_join(spark.createDataFrame(pdf), k=5, value_col="v").toPandas()
-        counts = got.groupby("r1").size()
+        got = knn_pairs(spark.createDataFrame(pdf), k=5, value_col="v").toPandas()
+        own = got["r1"] == got["r2"]
+        assert sorted(got[own]["r1"]) == list(range(80))
+        counts = got[~own].groupby("r1").size()
         assert (counts == 5).all() and len(counts) == 80
 
     def test_k_exceeding_population_returns_all_others(self, spark):
         pdf = rand_points(6, seed=35)
-        got = self_knn_join(spark.createDataFrame(pdf), k=50, value_col="v").toPandas()
-        counts = got.groupby("r1").size()
-        assert (counts == 5).all() and len(counts) == 6
+        got = knn_pairs(spark.createDataFrame(pdf), k=50, value_col="v").toPandas()
+        assert set(zip(got["r1"], got["r2"])) == {(i, j) for i in range(6) for j in range(6)}
+        assert len(got) == 36
 
     def test_distances_sorted_within_radius(self, spark):
         pdf = rand_points(60, seed=36)
-        got = self_knn_join(spark.createDataFrame(pdf), k=4, value_col="v").toPandas()
+        got = knn_pairs(spark.createDataFrame(pdf), k=4, value_col="v").toPandas()
         assert (got[DIST] >= 0).all()
 
     def test_directed_not_necessarily_symmetric(self, spark):
         # kNN is a directed relation; with k=1 asymmetry almost surely occurs.
         pdf = rand_points(50, seed=37)
-        got = self_knn_join(spark.createDataFrame(pdf), k=1, value_col="v").toPandas()
+        got = knn_pairs(spark.createDataFrame(pdf), k=1, value_col="v").toPandas()
         pairs = set(zip(got["r1"], got["r2"]))
         assert any((b, a) not in pairs for a, b in pairs)
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_invalid_k_raises(self, spark, k):
         with pytest.raises(ValueError, match="positive"):
-            self_knn_join(spark.createDataFrame(rand_points(5, seed=38)), k=k, value_col="v")
+            knn_pairs(spark.createDataFrame(rand_points(5, seed=38)), k=k, value_col="v")
 
     def test_single_record_empty_result(self, spark):
-        out = self_knn_join(spark.createDataFrame(rand_points(1, seed=39)), k=3, value_col="v")
-        assert out.count() == 0
+        """A lone record has no neighbour: its self pair alone, in the pair schema."""
+        out = knn_pairs(spark.createDataFrame(rand_points(1, seed=39)), k=3, value_col="v")
+        assert [(r.r1, r.r2, r[DIST]) for r in out.collect()] == [(0, 0, 0.0)]
         assert dict(out.dtypes) == {
             "r1": "bigint", "r2": "bigint", "v1": "string", "v2": "string", DIST: "double"
         }
@@ -164,7 +169,7 @@ class TestInvariants:
         pdf = rand_points(70, seed=40)
         sdf = spark.createDataFrame(pdf)
         a, b = (
-            self_knn_join(sdf, k=3, value_col="v").toPandas()
+            knn_pairs(sdf, k=3, value_col="v").toPandas()
             .sort_values(["r1", "r2"]).reset_index(drop=True)
             for _ in range(2)
         )
@@ -177,7 +182,7 @@ class TestPolesAndAntimeridian:
     )
     def test_haversine_matches_brute_force(self, spark, bbox):
         pdf = rand_points(300, seed=41, bbox=bbox)
-        got = self_knn_join(
+        got = knn_pairs(
             spark.createDataFrame(pdf), k=5, value_col="v", distance="haversine"
         ).toPandas()
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 5)
@@ -196,8 +201,10 @@ class TestStopsOnNeighbourCountAlone:
             {"rid": [0, 1], "lat": [41.80, far[0]], "lon": [-87.70, far[1]], "v": ["A", "B"]}
         )
         ref_lat = (pdf["lat"].min() + pdf["lat"].max()) / 2
-        got = self_knn_join(spark.createDataFrame(pdf), k=1, value_col="v").toPandas()
-        assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 1, ref_lat) == {(0, 1), (1, 0)}
+        got = knn_pairs(spark.createDataFrame(pdf), k=1, value_col="v").toPandas()
+        assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 1, ref_lat) == {
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        }
 
     def test_east_west_pair_resolves_within_two_rounds(self, spark, monkeypatch):
         """Two records on one parallel span a line 830 m long. Its area takes
@@ -208,8 +215,8 @@ class TestStopsOnNeighbourCountAlone:
         )
         df = spark.createDataFrame(pdf)
         rounds = count_knn_rounds(monkeypatch, df)
-        got = self_knn_join(df, k=1, value_col="v").toPandas()
-        assert set(zip(got["r1"], got["r2"])) == {(0, 1), (1, 0)}
+        got = knn_pairs(df, k=1, value_col="v").toPandas()
+        assert set(zip(got["r1"], got["r2"])) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert len(rounds) <= 2
 
     def test_haversine_pair_longer_than_the_equirect_diagonal(self, spark):
@@ -218,10 +225,10 @@ class TestStopsOnNeighbourCountAlone:
         pdf = pd.DataFrame(
             {"rid": [0, 1, 2], "lat": [0.0, 60.0, 0.0], "lon": [0.0, 85.0, 170.0], "v": ["A", "B", "C"]}
         )
-        got = self_knn_join(
+        got = knn_pairs(
             spark.createDataFrame(pdf), k=2, value_col="v", distance="haversine"
         ).toPandas()
-        assert len(got) == 6
+        assert len(got) == 9
         assert set(zip(got["r1"], got["r2"])) == brute_knn(pdf, 2)
 
     #: (lat_min, lon_min, side in degrees): one city block up to 170° wide.
@@ -237,7 +244,7 @@ class TestStopsOnNeighbourCountAlone:
             bbox = (lat0, lat0 + min(side, 80.0), lon0, lon0 + side)
             pdf = rand_points(n, seed=100 + seed, bbox=bbox)
             ref_lat = None if distance == "haversine" else (pdf["lat"].min() + pdf["lat"].max()) / 2
-            got = self_knn_join(
+            got = knn_pairs(
                 spark.createDataFrame(pdf), k=k, value_col="v", distance=distance
             ).toPandas()
             if set(zip(got["r1"], got["r2"])) != brute_knn(pdf, k, ref_lat):
@@ -254,4 +261,4 @@ class TestInputContract:
         df, check = broken_frame(spark, case)
         count_knn_rounds(monkeypatch, df)
         with pytest.raises(ValueError, match=check):
-            self_knn_join(df, k=1, value_col="v")
+            knn_pairs(df, k=1, value_col="v")

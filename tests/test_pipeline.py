@@ -13,7 +13,7 @@ from repro.core.constraints import (
     WeightFunction,
 )
 from repro.core import pipeline
-from repro.core.distance_matrix import build_distance_matrix
+from repro.core.distance_matrix import cell_rows
 from repro.core.pipeline import host_baseline_clean, sparcle_clean
 from repro.evalx.metrics import duplication_split, evaluate_repairs
 from repro.spatial.join import compute_extent
@@ -443,15 +443,19 @@ class TestDetectorRows:
         df = spark.createDataFrame(FIVE, SCHEMA)
         sparcle_clean(df, RANGE, corrector="aimnet")
         ((_, detected),) = captured
-        dm = build_distance_matrix(df, RANGE)
-        assert detected.rows.count() == dm.count() + len(FIVE)
+        rows = cell_rows(df, RANGE)
+        dm = rows.where("r1 != r2").count()
+        assert dm == rows.count() - len(FIVE)
+        assert detected.rows.count() == dm + len(FIVE)
         assert self.own_rows(detected) == [1, 2, 3, 4, 5]
 
     def test_knn_call_adds_a_copy_per_violation(self, spark, captured):
         df = spark.createDataFrame(FIVE, SCHEMA)
         sparcle_clean(df, KNN, corrector="aimnet")
         ((_, detected),) = captured
-        dm = build_distance_matrix(df, KNN)
+        rows = cell_rows(df, KNN)
+        dm = rows.where("r1 != r2")
+        assert dm.count() == rows.count() - len(FIVE)
         violations = dm.where("NOT (v1 <=> v2)").count()
         assert violations > 0
         assert detected.rows.count() == dm.count() + len(FIVE) + violations

@@ -1,11 +1,11 @@
-"""Range self-join against the DuckDB oracle and invariants."""
+"""Range and exact self-joins, self pairs included, against the DuckDB oracle and invariants."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.spatial.join import DIST, compute_extent, self_exact_join, self_range_join
+from repro.spatial.join import DIST, PAIR_COLUMNS, compute_extent, exact_pairs, range_pairs
 from tests._utils import (
     BBOX_ACROSS_180,
     BBOX_POLAR_CAP,
@@ -25,34 +25,34 @@ class TestAgainstOracle:
         pdf = rand_points(180, seed=10)
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf)
-        got = self_range_join(sdf, d_m=d, value_col="v", distance="equirect")
+        got = range_pairs(sdf, d_m=d, value_col="v", distance="equirect")
         sql = f"""
             SELECT a.rid AS r1, b.rid AS r2, a.v AS v1, b.v AS v2,
                    {equirect_sql(ext.ref_lat)} AS dist_m
-            FROM pts a JOIN pts b ON a.rid <> b.rid
+            FROM pts a, pts b
             WHERE {equirect_sql(ext.ref_lat)} < {d!r}
         """
-        assert_equivalent(got, sql, pts=pdf)
+        assert_equivalent(got.selectExpr(*PAIR_COLUMNS), sql, pts=pdf)
 
     @pytest.mark.parametrize("d", [300.0, 1500.0])
     def test_haversine_matches_duckdb(self, spark, d):
         pdf = rand_points(120, seed=11)
-        got = self_range_join(
+        got = range_pairs(
             spark.createDataFrame(pdf), d_m=d, value_col="v", distance="haversine"
         )
         sql = f"""
             SELECT a.rid AS r1, b.rid AS r2, a.v AS v1, b.v AS v2, {haversine_sql()} AS dist_m
-            FROM pts a JOIN pts b ON a.rid <> b.rid
+            FROM pts a, pts b
             WHERE {haversine_sql()} < {d!r}
         """
-        assert_equivalent(got, sql, pts=pdf)
+        assert_equivalent(got.selectExpr(*PAIR_COLUMNS), sql, pts=pdf)
 
 
 class TestInvariants:
     @pytest.fixture(scope="class")
     def joined(self, spark):
         pdf = rand_points(200, seed=12)
-        out = self_range_join(spark.createDataFrame(pdf), d_m=800.0, value_col="v").toPandas()
+        out = range_pairs(spark.createDataFrame(pdf), d_m=800.0, value_col="v").toPandas()
         return pdf, out
 
     def test_symmetric(self, joined):
@@ -60,9 +60,12 @@ class TestInvariants:
         pairs = set(zip(out["r1"], out["r2"]))
         assert pairs == {(b, a) for a, b in pairs}
 
-    def test_no_self_pairs(self, joined):
-        _, out = joined
-        assert (out["r1"] != out["r2"]).all()
+    def test_one_self_pair_per_record(self, joined):
+        pdf, out = joined
+        own = out[out["r1"] == out["r2"]]
+        assert sorted(own["r1"]) == sorted(pdf["rid"])
+        assert (own[DIST] == 0.0).all()
+        pd.testing.assert_series_equal(own["v1"], own["v2"], check_names=False)
 
     def test_strictly_below_d(self, joined):
         _, out = joined
@@ -70,12 +73,14 @@ class TestInvariants:
         assert (out[DIST] >= 0.0).all()
 
     def test_nonempty_at_this_density(self, joined):
-        _, out = joined
-        assert len(out) > 0
+        pdf, out = joined
+        assert len(out) > len(pdf)
 
     def test_tiny_radius_yields_empty(self, spark):
+        """No record has a neighbour: the join yields each record's self pair alone."""
         pdf = rand_points(60, seed=13)
-        assert self_range_join(spark.createDataFrame(pdf), d_m=0.5, value_col="v").count() == 0
+        out = range_pairs(spark.createDataFrame(pdf), d_m=0.5, value_col="v").toPandas()
+        assert sorted(zip(out["r1"], out["r2"])) == [(r, r) for r in sorted(pdf["rid"])]
 
     def test_duplicate_locations_pair_at_zero(self, spark):
         pdf = rand_points(5, seed=14)
@@ -84,21 +89,21 @@ class TestInvariants:
         both = spark.createDataFrame(
             __import__("pandas").concat([pdf, dup], ignore_index=True)
         )
-        out = self_range_join(both, d_m=50.0, value_col="v").toPandas()
+        out = range_pairs(both, d_m=50.0, value_col="v").toPandas()
         zero = out[out[DIST] == 0.0]
         assert pairs_set(zero) >= {(i, i + 100) for i in range(5)}
 
     def test_custom_column_names(self, spark):
         pdf = rand_points(40, seed=15).rename(columns={"v": "ward"})
-        out = self_range_join(spark.createDataFrame(pdf), d_m=1000.0, value_col="ward")
-        assert set(out.columns) == {"r1", "r2", "v1", "v2", DIST}
+        out = range_pairs(spark.createDataFrame(pdf), d_m=1000.0, value_col="ward")
+        assert set(out.columns) == {"r1", "r2", "v1", "v2", DIST, "_cx", "_cy"}
 
     def test_precomputed_extent_gives_same_result(self, spark):
         pdf = rand_points(80, seed=16)
         sdf = spark.createDataFrame(pdf)
         ext = compute_extent(sdf)
-        a = self_range_join(sdf, d_m=700.0, value_col="v").toPandas()
-        b = self_range_join(sdf, d_m=700.0, value_col="v", extent=ext).toPandas()
+        a = range_pairs(sdf, d_m=700.0, value_col="v").toPandas()
+        b = range_pairs(sdf, d_m=700.0, value_col="v", extent=ext).toPandas()
         assert pairs_set(a) == pairs_set(b)
 
 
@@ -107,25 +112,28 @@ class TestExactJoin:
         pdf = rand_points(30, seed=17)
         pdf.loc[1, ["lat", "lon"]] = pdf.loc[0, ["lat", "lon"]].values
         pdf.loc[2, ["lat", "lon"]] = pdf.loc[0, ["lat", "lon"]].values
-        out = self_exact_join(spark.createDataFrame(pdf), value_col="v").toPandas()
+        out = exact_pairs(spark.createDataFrame(pdf), value_col="v").toPandas()
         assert pairs_set(out) == {
             (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)
-        }
+        } | {(r, r) for r in pdf["rid"]}
+        assert len(out) == 6 + len(pdf)
         assert (out[DIST] == 0.0).all()
 
     def test_no_duplicates_empty(self, spark):
-        out = self_exact_join(spark.createDataFrame(rand_points(25, seed=18)), value_col="v")
-        assert out.count() == 0
+        """No two records share a location: no pair but the self pairs."""
+        pdf = rand_points(25, seed=18)
+        out = exact_pairs(spark.createDataFrame(pdf), value_col="v").toPandas()
+        assert sorted(zip(out["r1"], out["r2"])) == [(r, r) for r in sorted(pdf["rid"])]
 
     def test_matches_duckdb(self, spark):
         pdf = rand_points(40, seed=19)
         pdf.loc[5:9, "lat"] = pdf.loc[0, "lat"]
         pdf.loc[5:9, "lon"] = pdf.loc[0, "lon"]
-        got = self_exact_join(spark.createDataFrame(pdf), value_col="v")
+        got = exact_pairs(spark.createDataFrame(pdf), value_col="v")
         sql = """
             SELECT a.rid AS r1, b.rid AS r2, a.v AS v1, b.v AS v2, 0.0 AS dist_m
             FROM pts a JOIN pts b
-              ON a.lat = b.lat AND a.lon = b.lon AND a.rid <> b.rid
+              ON a.lat = b.lat AND a.lon = b.lon
         """
         assert_equivalent(got, sql, pts=pdf)
 
@@ -146,7 +154,7 @@ class TestExtent:
         empty = spark.createDataFrame([], schema="rid long, lat double, lon double, v string")
         ext = compute_extent(empty)
         assert ext.n == 0
-        assert self_range_join(empty, d_m=100.0, value_col="v", extent=ext).count() == 0
+        assert range_pairs(empty, d_m=100.0, value_col="v", extent=ext).count() == 0
 
 
 class TestPolesAndAntimeridian:
@@ -157,11 +165,11 @@ class TestPolesAndAntimeridian:
         pdf = pd.DataFrame(
             {"rid": [0, 1], "lat": [0.0, 0.0], "lon": [179.999, -179.999], "v": ["A", "B"]}
         )
-        out = self_range_join(
+        out = range_pairs(
             spark.createDataFrame(pdf), d_m=1000.0, value_col="v", distance=distance
-        ).toPandas()
-        assert pairs_set(out) == {(0, 1), (1, 0)}
-        assert out[DIST].tolist() == pytest.approx([222.4, 222.4], abs=0.1)
+        ).toPandas().sort_values(["r1", "r2"])
+        assert list(zip(out["r1"], out["r2"])) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert out[DIST].tolist() == pytest.approx([0.0, 222.4, 222.4, 0.0], abs=0.1)
 
     def test_pair_a_quarter_turn_apart_near_the_pole(self, spark):
         """At lat 89 a 165 km tile spans ~86° of longitude on the parallel,
@@ -170,11 +178,12 @@ class TestPolesAndAntimeridian:
         pdf = pd.DataFrame(
             {"rid": [0, 1], "lat": [89.0, 89.0], "lon": [89.9, -179.9], "v": ["A", "B"]}
         )
-        out = self_range_join(
+        out = range_pairs(
             spark.createDataFrame(pdf), d_m=165_000.0, value_col="v", distance="haversine"
-        ).toPandas()
-        assert pairs_set(out) == {(0, 1), (1, 0)}
-        assert out[DIST].tolist() == pytest.approx([haversine_np(pdf)[0, 1]] * 2, rel=1e-9)
+        ).toPandas().sort_values(["r1", "r2"])
+        assert list(zip(out["r1"], out["r2"])) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        d = haversine_np(pdf)[0, 1]
+        assert out[DIST].tolist() == pytest.approx([0.0, d, d, 0.0], rel=1e-9)
 
     @pytest.mark.parametrize(
         "bbox,d",
@@ -183,11 +192,11 @@ class TestPolesAndAntimeridian:
     )
     def test_haversine_matches_brute_force(self, spark, bbox, d):
         pdf = rand_points(300, seed=21, bbox=bbox)
-        got = self_range_join(
+        got = range_pairs(
             spark.createDataFrame(pdf), d_m=d, value_col="v", distance="haversine"
         ).toPandas()
         dist = haversine_np(pdf)
-        i, j = np.nonzero((dist < d) & ~np.eye(len(pdf), dtype=bool))
+        i, j = np.nonzero(dist < d)
         assert pairs_set(got) == set(zip(i.tolist(), j.tolist()))
         assert not got.duplicated(["r1", "r2"]).any()
         got = got.sort_values(["r1", "r2"])
@@ -196,14 +205,14 @@ class TestPolesAndAntimeridian:
     @pytest.mark.parametrize("d", [39_000_000.0, 41_000_000.0])
     def test_radius_past_half_the_circumference_pairs_everything(self, spark, d):
         """No two records are farther apart than πR ≈ 20,015 km, so a radius
-        past it pairs every record with every other."""
+        past it pairs every record with every other, and itself."""
         pdf = pd.DataFrame(
             {"rid": [0, 1, 2], "lat": [0.0, 0.0, 0.0], "lon": [0.0, 90.0, 179.0], "v": ["A", "B", "C"]}
         )
-        out = self_range_join(
+        out = range_pairs(
             spark.createDataFrame(pdf), d_m=d, value_col="v", distance="haversine"
         ).toPandas()
-        assert pairs_set(out) == {(i, j) for i in range(3) for j in range(3) if i != j}
+        assert pairs_set(out) == {(i, j) for i in range(3) for j in range(3)}
         assert not out.duplicated(["r1", "r2"]).any()
 
     def test_extent_across_180_spans_the_short_way(self, spark):
@@ -233,4 +242,4 @@ class TestInputContract:
     def test_broken_record_names_the_failed_check(self, spark, case):
         df, check = broken_frame(spark, case)
         with pytest.raises(ValueError, match=check):
-            self_range_join(df, d_m=500.0, value_col="v")
+            range_pairs(df, d_m=500.0, value_col="v")
