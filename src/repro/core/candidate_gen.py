@@ -21,7 +21,8 @@ Everything is DataFrame algebra on the detector's rows, which are
 partitioned by cell: phase 1 is one group-by of each flagged cell's
 neighbour values together with its own value, phase 2 a join against the
 broadcast value-frequency table, and phase 3 windows over the cell. Each
-is keyed by the tile the rows carry, if any (a range DistanceMatrix's; see
+is keyed by the join's key the rows carry, if any (a range DistanceMatrix's
+tile or an exact one's location; see
 :func:`repro.spatial.join.tile_columns`), and then the cell, so none of
 them moves a row to another partition. The result is one ``kept`` frame,
 which the §5 formatters score and ``hostsys.corrector.argbest`` ranks on
@@ -61,7 +62,7 @@ class CandidateResult:
     the :data:`CANDIDATE_COLUMNS`, the cell's own value ``v1`` and the
     cell's ``labeled`` flag: one candidate left, or the top one (by
     prob_norm, then value) above MaxProb. It stays partitioned by cell, and
-    keeps the tile of the detector's rows, if they carry one.
+    keeps the key of the detector's rows, if they carry one.
     """
 
     kept: DataFrame

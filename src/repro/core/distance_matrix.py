@@ -11,9 +11,10 @@ once per constraint.
 
 The join also pairs each record with itself. :func:`cell_rows` keeps those
 self pairs as the cells' own rows, with no weight, and the error detector
-reads them in place of a second scan of the records; a range join's rows
-keep the tile that the join partitioned them by, so the stages after it run
-without another shuffle. The DistanceMatrix proper is its rows with
+reads them in place of a second scan of the records; a range or exact
+join's rows keep the key that the join partitioned them by (the tile of
+``r1``, or the location), so the stages after it run without another
+shuffle. The DistanceMatrix proper is its rows with
 ``r1 != r2``.
 """
 from pyspark.sql import DataFrame
@@ -36,8 +37,8 @@ def cell_rows(df: DataFrame, constraint: Constraint, *, extent: Extent | None = 
 
     An own row is the record's self pair: ``r1 = r2``, ``v2 = v1``, distance
     0 and a null ``w``, since the record is not its own neighbour. A range
-    constraint's rows also carry ``r1``'s tile (see
-    :func:`repro.spatial.join.tile_columns`). Without an ``extent``,
+    constraint's rows also carry ``r1``'s tile, and an exact one's the
+    location (see :func:`repro.spatial.join.tile_columns`). Without an ``extent``,
     :func:`repro.spatial.join.compute_extent` checks ``df`` and makes one,
     whatever the constraint.
     """

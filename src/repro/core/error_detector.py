@@ -7,20 +7,26 @@ and we cannot yet tell which. Cells with a missing (null) value are
 erroneous unconditionally, matching the host systems' null detectors.
 
 The detector decides each cell from its own rows with one window keyed by
-the tile the rows carry (:func:`repro.spatial.join.tile_columns`) and the
-cell, so everything after it (Algorithm 2, the §5 formats and the
-arg-best) runs on the same partitioning. The rows of a cell are its DistanceMatrix rows, its own row (``r2 = r1``, ``v2 = v1``,
-no weight, which makes a cell without neighbours present too), and, for a
-directed (kNN) DistanceMatrix, a weightless copy of every violation seen
-from the other end, so that its ``r1`` side is complete as well. A range or
-exact DistanceMatrix holds every pair in both orientations already and gets
-no copies. ``v1`` is the cell's own value on every one of its rows.
+the key the rows carry (:func:`repro.spatial.join.tile_columns`) and the
+cell, so everything after it (Algorithm 2, the §5 formats and the arg-best)
+runs on the same partitioning. The rows of a cell are its DistanceMatrix
+rows, its own row (``r2 = r1``, ``v2 = v1``, no weight, which makes a cell
+without neighbours present too), and, for rows without a key, a weightless
+copy of every violation seen from the other end, so that its ``r1`` side is
+complete as well. ``v1`` is the cell's own value on every one of its rows.
+
+The rows say which rule holds. Rows that carry their join's key come from a
+symmetric join, range (the tile of ``r1``) or exact (the location), which
+holds every pair in both orientations already: they get no copies, and the
+window runs on the join's partitioning with no shuffle. Rows without a key
+come from a kNN join, which is directed, or a hand-built DistanceMatrix:
+they get the copies and are keyed by ``r1`` alone, and the window shuffles
+them once. A symmetric DistanceMatrix without a key gets copies it does not
+need, and the same cells are flagged.
 
 The pipeline hands the detector the rows of
 :func:`repro.core.distance_matrix.cell_rows`, whose own rows are the spatial
-join's self pairs. A range join's rows keep ``r1``'s tile, by which the join
-partitioned them, and the window runs there with no shuffle; a kNN or exact
-DistanceMatrix carries no tile, and the window shuffles its rows by ``r1``.
+join's self pairs.
 """
 from dataclasses import dataclass
 
@@ -36,11 +42,12 @@ FLAGGED = "flagged"
 class DetectorResult:
     """Every cell's rows, each with the cell's flag, partitioned by cell.
 
-    ``rows`` has the columns ``r1, r2, v1, v2, w, flagged``, after the tile
-    of ``r1`` when the rows carry one (see
-    :func:`repro.spatial.join.tile_columns`). A null ``w`` marks a row that
-    is not one of ``r1``'s neighbours: the cell's own row, or a violation
-    copied from the other end of a directed DistanceMatrix.
+    ``rows`` has the columns ``r1, r2, v1, v2, w, flagged``, after the key
+    of the join (a range join's tile of ``r1``, an exact join's location)
+    when the rows carry one (see :func:`repro.spatial.join.tile_columns`).
+    A null ``w`` marks a row that is not one of ``r1``'s neighbours: the
+    cell's own row, or a violation copied from the other end of rows
+    without a key.
     """
 
     rows: DataFrame
@@ -61,20 +68,21 @@ class DetectorResult:
         return self._ids(False)
 
 
-def flag_cells(rows: DataFrame, *, directed: bool) -> DetectorResult:
+def flag_cells(rows: DataFrame) -> DetectorResult:
     """Algorithm 1 plus the null detector over every cell's rows.
 
     ``rows`` holds the DistanceMatrix ``(r1, r2, v1, v2, w)`` and exactly one
     own row per cell (``r2 = r1``, ``v2 = v1``, null ``w``), and may carry
-    ``r1``'s tile. ``directed`` says whether the DistanceMatrix may hold a
-    pair in one orientation only, as a kNN one does; only then are the
-    violations copied to their other end. A copy has no tile, so directed
-    rows are keyed by ``r1`` alone.
+    its join's key. Rows with a key come from a symmetric join and are
+    flagged as they are. Rows without one may hold a pair in one
+    orientation only, as a kNN DistanceMatrix does, so their violations are
+    copied to their other end, and they are keyed by ``r1`` alone.
     """
     # v1 IS DISTINCT FROM v2: nulls conflict with values; two nulls agree
     # (both cells are still caught by the unconditional null check).
     violation = f"NOT ({V1} <=> {V2})"
-    if directed:
+    key = tile_columns(rows)
+    if not key:
         # Each row, plus each violation seen from r2, in one scan of ``rows``:
         # a union of two selects would evaluate the spatial join under it twice.
         ends = (
@@ -85,23 +93,24 @@ def flag_cells(rows: DataFrame, *, directed: bool) -> DetectorResult:
         rows = (
             rows.selectExpr(f"explode({ends}) AS _end").where("_end IS NOT NULL").selectExpr("_end.*")
         )
-    key = [*tile_columns(rows), R1]
+    key = [*key, R1]
     flagged = (
         f"(max({violation}) OVER (PARTITION BY {', '.join(key)}) OR {V1} IS NULL) AS {FLAGGED}"
     )
     return DetectorResult(rows=rows.selectExpr(*key, R2, V1, V2, W, flagged))
 
 
-def detect_errors(
-    df: DataFrame, dm: DataFrame, *, attribute: str, directed: bool = True
-) -> DetectorResult:
+def detect_errors(df: DataFrame, dm: DataFrame, *, attribute: str) -> DetectorResult:
     """Algorithm 1 over a DistanceMatrix ``dm`` (``r1 != r2``) plus the null detector.
 
     The own rows are read from the records ``df``; see :func:`flag_cells`.
+    A ``dm`` that carries its join's key keeps it, and ``df`` then carries
+    each record's key too.
     """
+    key = tile_columns(dm)
     value = sql_ident(attribute)
     own = df.selectExpr(
-        f"{ID} AS {R1}", f"{ID} AS {R2}", f"{value} AS {V1}", f"{value} AS {V2}",
+        *key, f"{ID} AS {R1}", f"{ID} AS {R2}", f"{value} AS {V1}", f"{value} AS {V2}",
         f"CAST(NULL AS DOUBLE) AS {W}",
     )
-    return flag_cells(dm.selectExpr(R1, R2, V1, V2, W).unionByName(own), directed=directed)
+    return flag_cells(dm.selectExpr(*key, R1, R2, V1, V2, W).unionByName(own))

@@ -9,12 +9,13 @@ formulated input to the requested host corrector:
 The spatial join pairs every record with itself as well as with its
 neighbours, and those self pairs are the cells' own rows, so the detector
 reads no second copy of the records. A range join partitions its rows by the
-tile of ``r1``, each record in its own tile; the detector, Algorithm 2, the
-formatter and the arg-best key every window and group-by by that tile and
-the cell, so the call's plan has no other shuffle than the join's: the
-small Count(v, D) table is counted on one partition and broadcast. A kNN
-or exact DistanceMatrix carries no tile: the detector shuffles it once, by
-cell, and the later stages run there.
+tile of ``r1``, each record in its own tile, and the exact join by the
+location; the detector, Algorithm 2, the formatter and the arg-best key
+every window and group-by by that key and the cell, so the call's plan has
+no other shuffle than the join's: the small Count(v, D) table is counted on
+one partition and broadcast. A kNN DistanceMatrix carries no key: the
+detector shuffles it once, by cell, and the later stages run there. The
+detector reads from the rows whether they hold both orientations of a pair.
 
 ``host_baseline_clean`` runs the *same* pipeline on the classical
 exact-location denial constraint — i.e. the host data cleaning system
@@ -28,7 +29,7 @@ from pyspark.sql import DataFrame
 
 from repro.core import candidate_gen as cg
 from repro.core import formulator
-from repro.core.constraints import Constraint, ExactLocationConstraint, SpatialKNNConstraint
+from repro.core.constraints import Constraint, ExactLocationConstraint
 from repro.core.distance_matrix import V1, cell_rows
 from repro.core.error_detector import flag_cells
 from repro.hostsys.corrector import REPAIR, argbest
@@ -110,8 +111,7 @@ def sparcle_clean(
     # One join gives the DistanceMatrix and the own rows; the detector,
     # Algorithm 2, the formatter and the arg-best run on its partitioning.
     rows = cell_rows(df, constraint, extent=extent)
-    # Only a kNN DistanceMatrix may hold a pair in one orientation.
-    detected = flag_cells(rows, directed=isinstance(constraint, SpatialKNNConstraint))
+    detected = flag_cells(rows)
     cand = cg.generate_candidates(df, detected, attribute=attribute, total=n_records)
     formatter, lower_is_better = _HOSTS[corrector]
     best = argbest(formatter(cand.kept), lower_is_better=lower_is_better)

@@ -15,9 +15,9 @@ documented in DESIGN.md).
 
 A cell that Algorithm 2 has already labeled keeps its label: the top
 candidate by probability, then value. Both rules are one ranking window
-over the cell (after the tile the candidates carry, if any), so the labels
-and the corrected cells come out of one pass on the cell partitioning that
-Algorithm 2 leaves.
+over the cell (after the join's key the candidates carry, if any), so the
+labels and the corrected cells come out of one pass on the cell
+partitioning that Algorithm 2 leaves.
 """
 from pyspark.sql import DataFrame
 

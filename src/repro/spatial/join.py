@@ -10,10 +10,11 @@ pair), kNN output is directed (``r2`` is among ``r1``'s k nearest).
 
 Each join also returns every record's self pair (``r1 = r2``, ``v2 =
 v1``, distance 0), which the Sparcle core reads as the cell's own row; a
-record's neighbours are its pairs with ``r1 != r2``. Range pairs carry
-``r1``'s own tile ``(_cx, _cy)``, by which the grid join hash-partitions
-them: a window or group-by keyed by the tile and then by ``r1`` (see
-:func:`tile_columns`) runs on the join's partitioning, with no shuffle.
+record's neighbours are its pairs with ``r1 != r2``. The two symmetric
+joins carry their key as ``(_cx, _cy)`` and are hash-partitioned by it:
+range pairs ``r1``'s own tile, exact pairs their location. A window or
+group-by keyed by the key and then by ``r1`` (see :func:`tile_columns`)
+runs on the join's partitioning, with no shuffle. kNN pairs carry no key.
 """
 import functools
 import math
@@ -135,12 +136,14 @@ def compute_extent(df: DataFrame) -> Extent:
 
 
 def tile_columns(df: DataFrame) -> list[str]:
-    """The tile columns ``(_cx, _cy)`` that ``df`` carries, if any.
+    """The key columns ``(_cx, _cy)`` of a symmetric join that ``df`` carries, if any.
 
-    A frame made from :func:`range_pairs` keeps ``r1``'s tile and stays
-    hash-partitioned by it. A window or group-by keyed by these columns and
-    then by the cell runs on that partitioning; a frame without them is
-    keyed by the cell alone.
+    A frame made from :func:`range_pairs` keeps ``r1``'s tile, and one made
+    from :func:`exact_pairs` its location; each stays hash-partitioned by
+    it. A window or group-by keyed by these columns and then by the cell
+    runs on that partitioning; a frame without them is keyed by the cell
+    alone. Only a symmetric join's rows carry them, so they also tell that
+    a frame holds each pair in both orientations.
     """
     return [c for c in (grid.CELL_X, grid.CELL_Y) if c in df.columns]
 
@@ -207,20 +210,32 @@ def range_pairs(
 
 
 def exact_pairs(df: DataFrame, *, value_col: str) -> DataFrame:
-    """Pairs at the *same exact* coordinates, self pairs included — the non-spatial baseline.
+    """Pairs ``(r1, r2, v1, v2, dist_m, _cx, _cy)`` at the *same exact* coordinates,
+    self pairs included, hash-partitioned by the location ``(_cx, _cy)``:
+    the non-spatial baseline.
 
     This is the equality self-join current cleaning systems run (§3.2):
-    co-occurrence exists only where coordinates are duplicated. It takes no
-    extent and checks nothing; :func:`repro.core.distance_matrix.cell_rows`
-    checks the records first.
+    co-occurrence exists only where coordinates are duplicated. It is one
+    window per location, not a join: each record collects its location's
+    ``(rid, value)`` and emits a pair with each, itself included. The
+    location is the key ``(_cx, _cy)`` = (``lon``, ``lat``) as text, with
+    −0.0 folded into 0.0 as the equality join folds it. A double key would
+    be normalised again by every later group-by, which would then shuffle
+    the window's output a second time. It takes no extent and checks
+    nothing; :func:`repro.core.distance_matrix.cell_rows` checks the records
+    first.
     """
-    def side(rid: str, v: str) -> DataFrame:
-        return df.selectExpr(
-            f"{ID} AS {rid}", f"{LAT} AS _lat", f"{LON} AS _lon", f"{sql_ident(value_col)} AS {v}"
+    key = (grid.CELL_X, grid.CELL_Y)
+    near = f"collect_list(named_struct('{R2}', {R1}, '{V2}', {V1}))"
+    return (
+        df.selectExpr(
+            f"{ID} AS {R1}", f"{sql_ident(value_col)} AS {V1}",
+            f"CAST({LON} + {sql_double(0.0)} AS STRING) AS {grid.CELL_X}",
+            f"CAST({LAT} + {sql_double(0.0)} AS STRING) AS {grid.CELL_Y}",
         )
-
-    return side(R1, V1).join(side(R2, V2), on=["_lat", "_lon"]).selectExpr(
-        R1, R2, V1, V2, f"{sql_double(0.0)} AS {DIST}"
+        .selectExpr(R1, V1, *key, f"{near} OVER (PARTITION BY {', '.join(key)}) AS _near")
+        .selectExpr(R1, V1, *key, "inline(_near)")
+        .selectExpr(R1, R2, V1, V2, f"{sql_double(0.0)} AS {DIST}", *key)
     )
 
 

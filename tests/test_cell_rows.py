@@ -103,8 +103,7 @@ def test_own_rows_stay_complete(spark, case):
     dm = pandas_dm(pdf, constraint)
     assert sorted(zip(got["r1"], got["r2"])) == sorted(zip(dm["r1"], dm["r2"]))
 
-    directed = isinstance(constraint, SpatialKNNConstraint)
-    detected = flag_cells(rows, directed=directed)
+    detected = flag_cells(rows)
     records = pdf[["rid", "ward"]]
     errors, clean = ref.detected(records, dm, attribute="ward")
     assert {r.rid for r in detected.error_ids.collect()} == errors

@@ -19,7 +19,8 @@ from repro.spatial.join import compute_extent
 from tests._utils import equirect_sql, haversine_sql, rand_points
 
 
-#: The DistanceMatrix columns; a range constraint's rows carry ``r1``'s tile first.
+#: The DistanceMatrix columns; a range or exact constraint's rows carry the
+#: join's key first (``r1``'s tile, or the location).
 COLUMNS = ("r1", "r2", "v1", "v2", "dist_m", "w")
 
 
@@ -78,12 +79,12 @@ class TestExactMatrix:
         pdf.loc[5:9, ["lat", "lon"]] = pdf.loc[0, ["lat", "lon"]].values
         pdf.loc[20:22, ["lat", "lon"]] = pdf.loc[30, ["lat", "lon"]].values
         dm = cell_rows(spark.createDataFrame(pdf), constraint)
-        assert tuple(dm.columns) == COLUMNS
+        assert tuple(dm.columns) == ("_cx", "_cy", *COLUMNS)
         sql = f"""
             SELECT *, CASE WHEN r1 = r2 THEN NULL ELSE 1.0 END AS w
             FROM ({_pairs_sql("0.0", "a.lat = b.lat AND a.lon = b.lon")})
         """
-        assert_equivalent(dm, sql, pts=pdf)
+        assert_equivalent(dm.selectExpr(*COLUMNS), sql, pts=pdf)
 
 
 class TestKnnMatrix:

@@ -52,9 +52,7 @@ def test_sparcle_clean_matches_pandas_path(spark, kind, seed):
     # A cell flagged only by a neighbour that names it keeps its value (its
     # own neighbours all agree with it), so the repairs cannot show whether
     # the detector saw the kNN DistanceMatrix from both ends; the flags can.
-    det = flag_cells(
-        cell_rows(sdf, constraint), directed=isinstance(constraint, SpatialKNNConstraint)
-    )
+    det = flag_cells(cell_rows(sdf, constraint))
     assert {r.rid for r in det.error_ids.collect()} == errors
     for host in CORRECTORS:
         want = expected_repairs(df, dm, errors, host)

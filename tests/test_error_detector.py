@@ -28,9 +28,15 @@ class TestPaperExample:
         assert not set(ids(result.error_ids)) & set(ids(result.clean_ids))
 
     def test_symmetric_distance_matrix_flags_the_same_cells_without_copies(self, spark, result):
-        """Figure 3c holds every pair both ways, so the reversed copies add nothing."""
+        """Figure 3c holds every pair both ways, so the reversed copies add nothing.
+
+        Rows that carry a symmetric join's key get none; a constant key
+        puts every cell in one location."""
+        key = ("0 AS _cx", "0 AS _cy")
         undirected = detect_errors(
-            toy_df(spark), toy_dm(spark), attribute="borough", directed=False
+            toy_df(spark).selectExpr("*", *key),
+            toy_dm(spark).selectExpr("*", *key),
+            attribute="borough",
         )
         assert ids(undirected.error_ids) == ids(result.error_ids)
         assert ids(undirected.clean_ids) == ids(result.clean_ids)

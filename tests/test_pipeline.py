@@ -299,22 +299,21 @@ class TestNoStateLeftBehind:
         "constraint", [RANGE, ExactLocationConstraint("ward")], ids=["range", "exact"]
     )
     def test_shuffled_by_tile_or_once_by_cell(self, spark, constraint):
-        """A range call's grid join shuffles both sides by tile, and every
-        later stage (the detector, Algorithm 2, the formatter, the arg-best
-        and the changed cells) stays on that partitioning: nothing is keyed
-        by the cell. An exact call's detector shuffles by the cell at most
-        once. Count(v, D) is counted on one partition and broadcast, so no
-        shuffle is keyed by the attribute, and nothing is re-keyed by value."""
+        """A range call's grid join shuffles both sides by tile, and an exact
+        call's window shuffles the records once by location; every later
+        stage (the detector, Algorithm 2, the formatter, the arg-best and
+        the changed cells) stays on that partitioning: nothing is keyed by
+        the cell. Count(v, D) is counted on one partition and broadcast, so
+        no shuffle is keyed by the attribute, and nothing is re-keyed by
+        value."""
         df = spark.createDataFrame(FIVE, SCHEMA)
         sparcle_clean(df, constraint, corrector="aimnet")
         keys = last_execution_shuffle_keys(spark)
-        by_cell = sum(k in {("r1",), ("rid",)} for k in keys)
         if constraint is RANGE:
             assert sorted(keys) == [("_cx", "_cy"), ("_cx", "_cy")], keys
-            assert by_cell == 0, keys
         else:
-            assert keys, "no shuffle found in the plan"
-            assert by_cell <= 1, keys
+            assert keys == [("_cx", "_cy")], keys
+        assert not any(k in {("r1",), ("rid",)} for k in keys), keys
         assert not any("value" in k for k in keys), keys
         assert ("ward",) not in keys, keys
 
@@ -345,6 +344,9 @@ class TestJobBudget:
     #: of the grid join (one shuffle stage each), the Count(v, D) broadcast,
     #: and the checkpoint.
     RANGE_CALL_JOBS = 5
+    #: Jobs of one exact call on FIVE: the same, with the one shuffle stage of
+    #: the window by location in place of the grid join's two.
+    EXACT_CALL_JOBS = 4
 
     def test_contract_check_runs_one_job(self, spark):
         df = spark.createDataFrame(FIVE, SCHEMA)
@@ -388,6 +390,14 @@ class TestJobBudget:
         assert jobs == self.RANGE_CALL_JOBS
         assert [(r.rid, r.new_value) for r in out.repairs.collect()] == [(5, "A")]
 
+    def test_exact_call_runs_a_fixed_number_of_jobs(self, spark):
+        df = spark.createDataFrame(FIVE, SCHEMA)
+        out, jobs = jobs_run(
+            spark, lambda: sparcle_clean(df, ExactLocationConstraint("ward"), corrector="aimnet")
+        )
+        assert jobs == self.EXACT_CALL_JOBS
+        assert out.repairs.count() == 0
+
 
 def _raised(call) -> ValueError:
     """The ``ValueError`` ``call()`` raises."""
@@ -419,8 +429,8 @@ class TestDottedAttribute:
 class TestDetectorRows:
     """The detector reads each DistanceMatrix row once and one own row per
     record, the join's self pair. It copies violations to their other end
-    only for a directed (kNN) DistanceMatrix; range and exact ones hold both
-    orientations."""
+    only for rows without a join's key, as a kNN DistanceMatrix's; range and
+    exact rows carry their join's key and hold both orientations."""
 
     @pytest.fixture
     def captured(self, monkeypatch):
@@ -439,15 +449,24 @@ class TestDetectorRows:
     def own_rows(detected) -> list[int]:
         return sorted(r.r1 for r in detected.rows.where("r1 = r2").collect())
 
-    def test_range_call_ships_each_row_once(self, spark, captured):
-        df = spark.createDataFrame(FIVE, SCHEMA)
-        sparcle_clean(df, RANGE, corrector="aimnet")
+    def ships_each_row_once(self, spark, captured, constraint, records):
+        df = spark.createDataFrame(records, SCHEMA)
+        sparcle_clean(df, constraint, corrector="aimnet")
         ((_, detected),) = captured
-        rows = cell_rows(df, RANGE)
+        rows = cell_rows(df, constraint)
         dm = rows.where("r1 != r2").count()
-        assert dm == rows.count() - len(FIVE)
-        assert detected.rows.count() == dm + len(FIVE)
-        assert self.own_rows(detected) == [1, 2, 3, 4, 5]
+        assert dm > 0
+        assert dm == rows.count() - len(records)
+        assert detected.rows.count() == dm + len(records)
+        assert self.own_rows(detected) == sorted(r[0] for r in records)
+
+    def test_range_call_ships_each_row_once(self, spark, captured):
+        self.ships_each_row_once(spark, captured, RANGE, FIVE)
+
+    def test_exact_call_ships_each_row_once(self, spark, captured):
+        # A sixth record at r5's location, so the exact DistanceMatrix is not empty.
+        records = FIVE + [(6, 41.8005, -87.7005, "A")]
+        self.ships_each_row_once(spark, captured, ExactLocationConstraint("ward"), records)
 
     def test_knn_call_adds_a_copy_per_violation(self, spark, captured):
         df = spark.createDataFrame(FIVE, SCHEMA)

@@ -112,11 +112,17 @@ class TestExactJoin:
         pdf = rand_points(30, seed=17)
         pdf.loc[1, ["lat", "lon"]] = pdf.loc[0, ["lat", "lon"]].values
         pdf.loc[2, ["lat", "lon"]] = pdf.loc[0, ["lat", "lon"]].values
+        # −0.0 equals 0.0, so these two pair, as an equality join on the
+        # coordinates pairs them.
+        zeros = pd.DataFrame(
+            {"rid": [30, 31], "lat": [-0.0, 0.0], "lon": [-87.65, -87.65], "v": ["A", "B"]}
+        )
+        pdf = pd.concat([pdf, zeros], ignore_index=True)
         out = exact_pairs(spark.createDataFrame(pdf), value_col="v").toPandas()
         assert pairs_set(out) == {
-            (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)
+            (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (30, 31), (31, 30)
         } | {(r, r) for r in pdf["rid"]}
-        assert len(out) == 6 + len(pdf)
+        assert len(out) == 8 + len(pdf)
         assert (out[DIST] == 0.0).all()
 
     def test_no_duplicates_empty(self, spark):
@@ -135,7 +141,7 @@ class TestExactJoin:
             FROM pts a JOIN pts b
               ON a.lat = b.lat AND a.lon = b.lon
         """
-        assert_equivalent(got, sql, pts=pdf)
+        assert_equivalent(got.selectExpr(*PAIR_COLUMNS), sql, pts=pdf)
 
 
 class TestExtent:
